@@ -52,22 +52,6 @@ fn bench_embedding(c: &mut Criterion) {
     });
 }
 
-fn bench_half_precision(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(9);
-    let f32_table = EmbeddingTable::new(100_000, 16, &mut rng);
-    let bf16_table = fae_embed::Bf16EmbeddingTable::from_f32(&f32_table);
-    let idx: Vec<u32> = (0..1024).map(|_| rng.gen_range(0..100_000u32)).collect();
-    let offsets: Vec<usize> = (0..=1024).collect();
-    let mut g = c.benchmark_group("precision_lookup_1024x16");
-    g.bench_function("f32", |b| {
-        b.iter(|| black_box(f32_table.lookup_bag(black_box(&idx), &offsets)))
-    });
-    g.bench_function("bf16", |b| {
-        b.iter(|| black_box(bf16_table.lookup_bag(black_box(&idx), &offsets)))
-    });
-    g.finish();
-}
-
 fn bench_attention(c: &mut Criterion) {
     use fae_models::attention::{AttentionPool, SeqBatch};
     let mut rng = StdRng::seed_from_u64(10);
@@ -190,7 +174,6 @@ fn bench_costmodel(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_embedding,
-    bench_half_precision,
     bench_attention,
     bench_classify,
     bench_randem,

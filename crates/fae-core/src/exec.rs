@@ -126,8 +126,7 @@ impl ParallelEngine {
     /// Wraps an already-built model as replica 0 and clones `workers - 1`
     /// further replicas by re-seeding the model RNG — [`AnyModel`]
     /// construction consumes a deterministic prefix of the seed stream,
-    /// so every replica is bit-identical to the first (the same trick as
-    /// `DataParallel::replicate`).
+    /// so every replica is bit-identical to the first.
     pub fn from_model(model: AnyModel, spec: &WorkloadSpec, seed: u64, workers: usize) -> Self {
         let workers = workers.max(1);
         let mut replicas = Vec::with_capacity(workers);

@@ -4,9 +4,9 @@
 //! data-parallel group, hot-bag replication can exceed the memory budget
 //! `L`, CPU↔GPU syncs fail transiently and artifact files get torn or
 //! corrupted. This module provides the machinery to *simulate* those
-//! failures reproducibly so the recovery paths in [`crate::trainer`],
-//! [`crate::distributed`] and [`crate::artifacts`] are exercised by
-//! tests instead of discovered in production:
+//! failures reproducibly so the recovery paths in [`crate::trainer`] and
+//! [`crate::artifacts`] are exercised by tests instead of discovered in
+//! production:
 //!
 //! * [`FaultPlan`] — a declarative schedule of faults, parseable from a
 //!   compact spec string (`"device-loss@120,sync-failure@300"`),

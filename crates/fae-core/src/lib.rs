@@ -21,9 +21,9 @@
 //!   eviction of hot rows at the schedule transitions,
 //! * [`scheduler`] — the **Shuffle Scheduler**'s adaptive hot/cold
 //!   interleaving rate (Eq. 7),
-//! * [`trainer`] — baseline and FAE training loops combining real
-//!   numerics (loss/accuracy, Fig 12) with the `fae-sysmodel` cost model
-//!   (latency/power, Figs 13–15, Tables IV–VI),
+//! * [`trainer`] — baseline and FAE training over one step path, combining
+//!   real numerics (loss/accuracy, Fig 12) with the `fae-sysmodel` cost
+//!   model (latency/power, Figs 13–15, Tables IV–VI),
 //! * [`pipeline`] — one-call convenience wrappers used by the examples
 //!   and the experiment harness, plus the double-buffered mini-batch
 //!   prefetcher that decodes FAE-format blocks on a background thread,
@@ -31,17 +31,17 @@
 //!   loss, replication OOM, sync failure, artifact corruption, transient
 //!   I/O) with bounded-backoff retry plumbing,
 //! * [`checkpoint`] — binary training checkpoints (atomic write, CRC-32
-//!   verified) that make an interrupted run resume bit-identically.
+//!   verified) that make an interrupted run resume bit-identically,
+//! * [`artifacts`] — persistence of the static-phase outputs (the FAE
+//!   stream, the calibration and the partitions),
+//! * [`simsched`] — schedule-only simulation of a training run at paper
+//!   scale, priced by the same cost model.
 
 #![forbid(unsafe_code)]
-pub mod adaptive;
 pub mod artifacts;
 pub mod calibrator;
 pub mod checkpoint;
 pub mod classifier;
-pub mod convergence;
-pub mod distributed;
-pub mod drift;
 pub mod exec;
 pub mod faults;
 pub mod input_processor;
@@ -52,13 +52,10 @@ pub mod scheduler;
 pub mod simsched;
 pub mod trainer;
 
-pub use adaptive::{train_fae_adaptive, AdaptiveConfig, AdaptiveReport};
 pub use calibrator::{CalibrationResult, Calibrator, CalibratorConfig, RandEmBox, RandEmEstimate};
 pub use checkpoint::model_digest;
 pub use checkpoint::{latest_in, CheckpointError, TableSnapshot, TrainCheckpoint};
 pub use classifier::classify_tables;
-pub use distributed::DataParallel;
-pub use drift::{hot_access_share, DriftMonitor, DriftVerdict};
 pub use exec::{compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine};
 pub use fae_telemetry::Telemetry;
 pub use faults::{

@@ -2,10 +2,12 @@
 //! an [`EmbeddingSource`], plus the CPU↔GPU synchronisation performed at
 //! hot/cold schedule transitions.
 //!
-//! Numerically, the N GPU replicas stay bit-identical under the fused
-//! all-reduce (proved by `fae_embed::ReplicatedHotEmbedding`'s tests), so
-//! the trainer computes against one logical copy; the *cost* of keeping N
-//! replicas in sync is charged by `fae-sysmodel`. Lookups translate global
+//! Numerically, the N GPU replicas would stay bit-identical: every one
+//! applies the same reduced gradient, exactly as the [`crate::exec`]
+//! engine's model replicas do (`examples/distributed_replicas.rs` shows
+//! the divergence staying 0.0). So the trainer computes against one
+//! logical copy; the *cost* of keeping N replicas in sync is charged by
+//! `fae-sysmodel`. Lookups translate global
 //! row ids to hot-local ids through the partitions; touching a cold row
 //! through this source is a bug in the input processor and panics.
 //!

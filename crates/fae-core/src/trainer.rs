@@ -11,6 +11,14 @@
 //! every transition (charged via [`sync_cost`]), evaluate after each
 //! round and let the [`ShuffleScheduler`] adapt the rate.
 //!
+//! Both engines drive one private run state, and every mini-batch goes
+//! through its one `step`: a baseline batch, an FAE cold batch, an FAE
+//! hot batch, and a hot batch of a run degraded to CPU-only. The
+//! baseline differs only in what it feeds that state: batches shuffled
+//! from one continuing RNG stream, a cost profile with no hot bytes, no
+//! hot tier, and an evaluation every `eval_interval` steps instead of
+//! one per schedule round.
+//!
 //! # Resilience
 //!
 //! [`train_fae_resilient`] extends the FAE engine with fault injection,
@@ -38,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -47,7 +55,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use fae_data::{BatchKind, Dataset, MiniBatch, WorkloadKind, WorkloadSpec};
-use fae_embed::{DeferredSparse, SkipStats, SparseGrad};
+use fae_embed::{DeferredSparse, HotColdPartition, SkipStats, SparseGrad};
 use fae_models::{
     bridge, evaluate, Dlrm, EmbeddingSource, EvalReport, MasterEmbeddings, RecModel, Tbsm,
 };
@@ -57,7 +65,7 @@ use fae_sysmodel::{
     cold_sparse_optimizer_cost, reshard_cost, step_cost, sync_cost, ExecMode, Phase, SystemConfig,
     Timeline,
 };
-use fae_telemetry::{JournalEvent, PhaseSeconds, StepMode, Telemetry};
+use fae_telemetry::{JournalEvent, PhaseSeconds, SpanGuard, StepMode, Telemetry};
 
 use crate::checkpoint::{latest_in, model_digest, TrainCheckpoint};
 use crate::exec::{ParallelEngine, StepEngine};
@@ -68,7 +76,7 @@ use crate::faults::{
 use crate::input_processor::Preprocessed;
 use crate::oracle::{LookaheadOracle, OracleStats};
 use crate::replicator::HotEmbeddings;
-use crate::scheduler::{Rate, ShuffleScheduler};
+use crate::scheduler::{Rate, SchedulerState, ShuffleScheduler};
 
 /// Trainer configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -314,47 +322,25 @@ pub fn make_test_batches(test: &Dataset, batch_size: usize, max_batches: usize) 
         .collect()
 }
 
-/// Per-batch-size memoised step costs: `step_cost` is pure in the batch
-/// size, and an epoch reuses two sizes (full + remainder).
-struct CostCache<'a> {
-    profile: &'a fae_sysmodel::ModelProfile,
-    sys: &'a SystemConfig,
-    mode: ExecMode,
-    // Lookup-only (never iterated), so iteration order cannot reach
-    // the digest — which is what lets this be a HashMap under the
-    // flow-aware det-taint rule.
-    cache: HashMap<usize, Timeline>,
-}
-
-impl<'a> CostCache<'a> {
-    fn new(profile: &'a fae_sysmodel::ModelProfile, sys: &'a SystemConfig, mode: ExecMode) -> Self {
-        Self { profile, sys, mode, cache: HashMap::new() }
-    }
-
-    fn charge(&mut self, timeline: &mut Timeline, batch: usize) {
-        let entry = self
-            .cache
-            .entry(batch)
-            .or_insert_with(|| step_cost(self.profile, self.sys, self.mode, batch));
-        timeline.merge(entry);
-    }
-}
-
-/// The FAE engine's owned cost model. Unlike [`CostCache`] it owns the
-/// system description, because graceful degradation re-shapes the
-/// machine mid-run: after a device loss the surviving GPU count changes
-/// every per-step and sync cost, so the caches must be rebuilt.
-struct FaeCostModel {
+/// The run's owned cost model. It owns the system description, because
+/// graceful degradation re-shapes the machine mid-run: after a device
+/// loss the surviving GPU count changes every per-step and sync cost, so
+/// the caches must be rebuilt. `step_cost` is pure in the batch size and
+/// an epoch reuses two sizes (full + remainder), so per-size costs are
+/// memoised.
+struct CostModel {
     profile: fae_sysmodel::ModelProfile,
     sys: SystemConfig,
     sync_bytes: f64,
-    // Lookup-only like `CostCache.cache`; see that field's note.
+    // Lookup-only (never iterated), so iteration order cannot reach the
+    // digest — which is what lets these be HashMaps under the flow-aware
+    // det-taint rule.
     cold: HashMap<usize, Timeline>,
     hot: HashMap<usize, Timeline>,
     sync: Timeline,
 }
 
-impl FaeCostModel {
+impl CostModel {
     fn new(profile: fae_sysmodel::ModelProfile, num_gpus: usize, sync_bytes: f64) -> Self {
         let sys = SystemConfig::paper_server(num_gpus);
         let sync = sync_cost(&sys, sync_bytes);
@@ -370,11 +356,18 @@ impl FaeCostModel {
         self.sync = sync_cost(&self.sys, self.sync_bytes);
     }
 
-    fn charge_cold(&mut self, timeline: &mut Timeline, batch: usize) {
-        let entry = self.cold.entry(batch).or_insert_with(|| {
-            step_cost(&self.profile, &self.sys, ExecMode::BaselineHybrid, batch)
-        });
-        timeline.merge(entry);
+    /// Cost of one hybrid (cold) step at this batch size.
+    fn cold_step_cost(&mut self, batch: usize) -> &Timeline {
+        self.cold
+            .entry(batch)
+            .or_insert_with(|| step_cost(&self.profile, &self.sys, ExecMode::BaselineHybrid, batch))
+    }
+
+    /// Cost of one pure-GPU (hot) step at this batch size.
+    fn hot_step_cost(&mut self, batch: usize) -> &Timeline {
+        self.hot
+            .entry(batch)
+            .or_insert_with(|| step_cost(&self.profile, &self.sys, ExecMode::FaeHotGpu, batch))
     }
 
     /// Charges a cold step whose sparse optimizer applied only
@@ -383,20 +376,12 @@ impl FaeCostModel {
     /// The CPU sparse-SGD term — the paper's headline cold bottleneck —
     /// is rescaled by `applied / produced`; every other phase is
     /// unchanged (the forward/backward still ran in full).
-    fn charge_cold_skipped(
-        &mut self,
-        timeline: &mut Timeline,
-        batch: usize,
-        produced: u64,
-        applied: u64,
-    ) {
+    fn charge_cold(&mut self, timeline: &mut Timeline, batch: usize, produced: u64, applied: u64) {
         if produced == 0 || applied == produced {
-            self.charge_cold(timeline, batch);
+            timeline.merge(self.cold_step_cost(batch));
             return;
         }
-        let entry = self.cold.entry(batch).or_insert_with(|| {
-            step_cost(&self.profile, &self.sys, ExecMode::BaselineHybrid, batch)
-        });
+        let entry = self.cold_step_cost(batch).clone();
         let sparse = cold_sparse_optimizer_cost(&self.profile, &self.sys, batch);
         let delta = sparse * (applied as f64 / produced as f64 - 1.0);
         let mut adjusted = Timeline::new();
@@ -411,22 +396,6 @@ impl FaeCostModel {
         timeline.merge(&adjusted);
     }
 
-    fn charge_hot(&mut self, timeline: &mut Timeline, batch: usize) {
-        let entry = self
-            .hot
-            .entry(batch)
-            .or_insert_with(|| step_cost(&self.profile, &self.sys, ExecMode::FaeHotGpu, batch));
-        timeline.merge(entry);
-    }
-
-    /// Simulated seconds of one hot step at this batch size.
-    fn hot_step_seconds(&mut self, batch: usize) -> f64 {
-        self.hot
-            .entry(batch)
-            .or_insert_with(|| step_cost(&self.profile, &self.sys, ExecMode::FaeHotGpu, batch))
-            .total()
-    }
-
     fn sync(&self) -> &Timeline {
         &self.sync
     }
@@ -434,11 +403,6 @@ impl FaeCostModel {
     /// A sync charge for an oracle-sized partial transfer.
     fn sync_for_bytes(&self, bytes: f64) -> Timeline {
         sync_cost(&self.sys, bytes)
-    }
-
-    /// Total seconds a sync of `bytes` takes on this machine.
-    fn sync_seconds(&self, bytes: f64) -> f64 {
-        sync_cost(&self.sys, bytes).total()
     }
 }
 
@@ -454,57 +418,637 @@ fn shuffle_seed(seed: u64, epoch: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-phase seconds charged since the last snapshot, advancing the
-/// snapshot. Journalling every timeline mutation through this keeps the
-/// journal's invariant: its phase seconds sum to `Timeline::total`.
-fn take_delta(prev: &mut Timeline, now: &Timeline) -> PhaseSeconds {
-    let d = PhaseSeconds::delta(prev, now);
-    prev.clone_from(now);
-    d
+/// The state of one training run, and the one place that trains a
+/// mini-batch, syncs the tiers, evaluates, checkpoints and reports.
+///
+/// The baseline and FAE drive the same state. They differ only in what
+/// they feed it: the batches and the tier each asks for, the cost
+/// profile, whether a hot tier exists, and when to evaluate. Every
+/// timeline mutation is journalled as the delta against `tl_prev`, so
+/// the journal's phase seconds sum exactly to the final
+/// `TrainReport::simulated_seconds`.
+struct Run<'a, En: StepEngine> {
+    cfg: &'a TrainConfig,
+    engine: En,
+    /// The CPU master tables — authoritative at every round boundary.
+    master: MasterEmbeddings,
+    /// The replicated hot bags; `None` without a hot tier (the baseline,
+    /// or an FAE run degraded to CPU-only execution).
+    hot: Option<HotEmbeddings>,
+    /// Hot/cold row split, for the stale-skip pool.
+    partitions: &'a [HotColdPartition],
+    /// Deferred cold-row gradients (DESIGN.md §15), when stale-skip is on.
+    skip: Option<DeferredSparse>,
+    /// The hot stream the lookahead oracle reads, when lookahead is on.
+    oracle_batches: Option<Arc<Vec<MiniBatch>>>,
+    /// This epoch's streaming oracle over the hot order.
+    oracle: Option<LookaheadOracle>,
+    oracle_stats: OracleStats,
+    costs: CostModel,
+    /// Bytes moved by a re-shard after a device loss.
+    dense_bytes: f64,
+    hot_bytes: f64,
+    timeline: Timeline,
+    tl_prev: Timeline,
+    sim_at_start: f64,
+    test_batches: Vec<MiniBatch>,
+    history: Vec<EvalPoint>,
+    steps: usize,
+    hot_steps: usize,
+    cold_steps: usize,
+    transitions: usize,
+    injector: FaultInjector,
+    retry: RetryPolicy,
+    net_faults: Vec<InjectedFault>,
+    recoveries: Vec<RecoveryAction>,
+    telem: Telemetry,
+    span: SpanGuard,
+    halt_at: usize,
+    interrupted: bool,
 }
 
-/// One cold-mode (CPU-hybrid) step under optional stale-skip: flush the
-/// pending rows this batch is about to read (so the forward pass never
-/// sees starved weights), run the step, defer cold-row updates into the
-/// pool, and charge the hybrid cost with the sparse-optimizer term
-/// rescaled by the fraction of row-updates actually applied. With no
-/// skip pool this is exactly the pre-skip step. Returns the loss.
-#[allow(clippy::too_many_arguments)] // internal plumbing of one loop body
-fn cold_step_with_skip<En: StepEngine>(
-    engine: &mut En,
-    master: &mut MasterEmbeddings,
-    mb: &MiniBatch,
-    step: u64,
-    lr: f32,
-    partitions: &[fae_embed::HotColdPartition],
-    skip: &mut Option<DeferredSparse>,
-    costs: &mut FaeCostModel,
-    timeline: &mut Timeline,
-) -> f32 {
-    let Some(pool) = skip.as_mut() else {
-        let (loss, grads) = engine.engine_step(master, mb, step, StepMode::Cold, lr);
-        master.apply_sparse_grads(&grads, lr);
-        costs.charge_cold(timeline, mb.len());
-        return loss;
-    };
-    let mut flushed_now = 0u64;
-    // Raw CSR indices, duplicates and all — `take_for_access` tolerates
-    // them, and skipping the sort/dedup keeps this off the step's
-    // critical path.
-    let access: Vec<&[u32]> = mb.sparse.iter().map(|c| c.indices.as_slice()).collect();
-    if let Some((flush, n)) = pool.take_for_access(&access) {
-        master.apply_sparse_grads(&flush, lr);
-        flushed_now = n;
+impl<'a, En: StepEngine> Run<'a, En> {
+    /// A fresh run with no hot tier, no stale-skip pool and no oracle;
+    /// the FAE trainer attaches those it uses.
+    fn new(
+        cfg: &'a TrainConfig,
+        opts: &ResilienceOptions,
+        engine: En,
+        master: MasterEmbeddings,
+        costs: CostModel,
+        test_batches: Vec<MiniBatch>,
+    ) -> Self {
+        let telem = opts.telemetry.clone();
+        let mut injector = FaultInjector::new(opts.plan.clone());
+        injector.set_telemetry(telem.clone());
+        let dense_bytes = engine.primary_ref().dense_param_count() as f64 * 4.0;
+        Self {
+            cfg,
+            engine,
+            master,
+            hot: None,
+            partitions: &[],
+            skip: None,
+            oracle_batches: None,
+            oracle: None,
+            oracle_stats: OracleStats::default(),
+            costs,
+            dense_bytes,
+            hot_bytes: 0.0,
+            timeline: Timeline::new(),
+            tl_prev: Timeline::new(),
+            sim_at_start: 0.0,
+            test_batches,
+            history: Vec::new(),
+            steps: 0,
+            hot_steps: 0,
+            cold_steps: 0,
+            transitions: 0,
+            injector,
+            retry: RetryPolicy::default(),
+            net_faults: Vec::new(),
+            recoveries: Vec::new(),
+            span: telem.span("train"),
+            telem,
+            halt_at: opts.halt_after_steps.unwrap_or(usize::MAX),
+            interrupted: false,
+        }
     }
-    let (loss, grads) = engine.engine_step(master, mb, step, StepMode::Cold, lr);
-    let produced: u64 = grads.iter().map(|g| g.nnz_rows() as u64).sum();
-    let (apply, _) = pool.absorb(&grads, partitions);
-    let applied: u64 = apply.iter().map(|g| g.nnz_rows() as u64).sum();
-    master.apply_sparse_grads(&apply, lr);
-    // Flushed rows are real optimizer work done this step, so they count
-    // toward the applied fraction (possibly pushing it past 1).
-    costs.charge_cold_skipped(timeline, mb.len(), produced, applied + flushed_now);
-    loss
+
+    /// Takes over the counters, timeline, history and fault log of a
+    /// checkpoint — the inverse of [`Run::checkpoint`].
+    fn restore(&mut self, ck: &TrainCheckpoint) {
+        self.timeline = ck.timeline.clone();
+        self.tl_prev = ck.timeline.clone();
+        self.sim_at_start = ck.timeline.total();
+        self.history = ck.history.clone();
+        self.steps = ck.steps as usize;
+        self.hot_steps = ck.hot_steps as usize;
+        self.cold_steps = ck.cold_steps as usize;
+        self.transitions = ck.transitions as usize;
+        if ck.cold_only {
+            self.hot = None;
+        }
+        self.injector.restore(ck.faults.clone());
+        self.recoveries = ck.recoveries.clone();
+        self.recoveries.push(RecoveryAction::ResumedFromCheckpoint { step: ck.steps });
+    }
+
+    /// Journals the charges since the last journalled event, if
+    /// telemetry is on and `event` makes an event of them.
+    fn journal(&mut self, event: impl FnOnce(PhaseSeconds) -> Option<JournalEvent>) {
+        if self.telem.enabled() {
+            let phases = PhaseSeconds::delta(&self.tl_prev, &self.timeline);
+            self.tl_prev.clone_from(&self.timeline);
+            if let Some(ev) = event(phases) {
+                self.telem.emit(&ev);
+            }
+        }
+    }
+
+    /// Absorbs the engine's transport side effects into the run's
+    /// bookkeeping. `step_charges` fold into the next journalled delta;
+    /// `event_charges` advance the snapshot too, because the drained
+    /// journal events already carry those phase seconds.
+    fn absorb_net(&mut self) {
+        let net = self.engine.drain_net();
+        if net.is_empty() {
+            return;
+        }
+        self.timeline.merge(&net.step_charges);
+        self.timeline.merge(&net.event_charges);
+        self.tl_prev.merge(&net.event_charges);
+        for ev in &net.journal {
+            self.telem.emit(ev);
+        }
+        self.net_faults.extend(net.faults);
+        self.recoveries.extend(net.recoveries);
+    }
+
+    /// Closes a unit of engine work — a step, a transition or the run:
+    /// absorbs the engine's side effects, then journals.
+    fn settle(&mut self, event: impl FnOnce(PhaseSeconds) -> Option<JournalEvent>) {
+        self.absorb_net();
+        self.journal(event);
+    }
+
+    /// Trains one mini-batch: the engine step, the sparse update on the
+    /// tier it ran on, its cost and its journal entry. `tier` asks for
+    /// the hot bags; without a hot tier the batch trains on the master
+    /// tables at hybrid cost. `rate` is the scheduler rate the journal
+    /// records. Returns `true` once the run has to halt.
+    fn step(&mut self, mb: &MiniBatch, tier: StepMode, rate: u32) -> bool {
+        let step = self.steps as u64;
+        let lr = self.cfg.lr;
+        let hot = if tier == StepMode::Hot { self.hot.as_ref() } else { None };
+        let (loss, mode) = if let Some(hot) = hot {
+            // Hot steps apply the merged sparse gradient shard-parallel —
+            // disjoint row ranges, exact.
+            let (loss, grads) = self.engine.engine_step(hot, mb, step, StepMode::Hot, lr);
+            hot.apply_shared(&grads, lr);
+            self.timeline.merge(self.costs.hot_step_cost(mb.len()));
+            self.hot_steps += 1;
+            (loss, StepMode::Hot)
+        } else {
+            let loss = self.cold_step(mb, step);
+            self.cold_steps += 1;
+            (loss, StepMode::Cold)
+        };
+        self.steps += 1;
+        let steps = self.steps as u64;
+        self.settle(|phases| {
+            Some(JournalEvent::Step { step: steps, mode, rate, loss: loss as f64, phases })
+        });
+        if self.telem.enabled() {
+            let counter =
+                if mode == StepMode::Hot { "train.steps_hot" } else { "train.steps_cold" };
+            self.telem.counter_add(counter, 1);
+            self.telem.observe("train.step_loss", loss as f64);
+        }
+        self.interrupted = self.steps >= self.halt_at;
+        self.interrupted
+    }
+
+    /// One step on the master tables under optional stale-skip: flush
+    /// the pending rows this batch is about to read (so the forward pass
+    /// never sees starved weights), run the step, defer cold-row updates
+    /// into the pool, and charge the hybrid cost with the
+    /// sparse-optimizer term rescaled by the fraction of row-updates
+    /// actually applied. Returns the loss.
+    fn cold_step(&mut self, mb: &MiniBatch, step: u64) -> f32 {
+        let lr = self.cfg.lr;
+        let Some(pool) = self.skip.as_mut() else {
+            let (loss, grads) = self.engine.engine_step(&self.master, mb, step, StepMode::Cold, lr);
+            self.master.apply_sparse_grads(&grads, lr);
+            self.costs.charge_cold(&mut self.timeline, mb.len(), 0, 0);
+            return loss;
+        };
+        let mut flushed_now = 0u64;
+        // Raw CSR indices, duplicates and all — `take_for_access` tolerates
+        // them, and skipping the sort/dedup keeps this off the step's
+        // critical path.
+        let access: Vec<&[u32]> = mb.sparse.iter().map(|c| c.indices.as_slice()).collect();
+        if let Some((flush, n)) = pool.take_for_access(&access) {
+            self.master.apply_sparse_grads(&flush, lr);
+            flushed_now = n;
+        }
+        let (loss, grads) = self.engine.engine_step(&self.master, mb, step, StepMode::Cold, lr);
+        let produced: u64 = grads.iter().map(|g| g.nnz_rows() as u64).sum();
+        let (apply, _) = pool.absorb(&grads, self.partitions);
+        let applied: u64 = apply.iter().map(|g| g.nnz_rows() as u64).sum();
+        self.master.apply_sparse_grads(&apply, lr);
+        // Flushed rows are real optimizer work done this step, so they count
+        // toward the applied fraction (possibly pushing it past 1).
+        self.costs.charge_cold(&mut self.timeline, mb.len(), produced, applied + flushed_now);
+        loss
+    }
+
+    /// Charges the initial replication of the hot bags onto the GPUs.
+    fn replicate(&mut self) {
+        let Some(hot) = &self.hot else { return };
+        let bytes = hot.sync_bytes() as u64;
+        self.timeline.merge(self.costs.sync());
+        let step = self.steps as u64;
+        self.journal(|phases| {
+            Some(JournalEvent::Sync { step, direction: "initial".into(), bytes, phases })
+        });
+        self.telem.counter_add("replicator.sync_bytes", bytes);
+    }
+
+    /// Starts an epoch over `hot_order`: spawns the streaming oracle over
+    /// it, fast-forwarded to `cursor` for a resumed run. A run without
+    /// hot bags has nothing for the oracle to manage.
+    fn start_epoch(&mut self, hot_order: &[usize], cursor: usize) {
+        self.oracle = None;
+        let (Some(batches), Some(_)) = (&self.oracle_batches, &self.hot) else { return };
+        match LookaheadOracle::spawn(batches.clone(), hot_order.to_vec(), self.cfg.lookahead) {
+            Ok(mut o) => {
+                o.skip(cursor);
+                self.oracle = Some(o);
+            }
+            Err(e) => eprintln!("fae: lookahead oracle unavailable ({e}); full-bag syncs"),
+        }
+    }
+
+    /// Drops the hot tier for the rest of the run: CPU-only cold
+    /// execution, with no further sync traffic.
+    fn fall_back_to_cold(&mut self, step: u64) {
+        self.hot = None;
+        self.oracle = None;
+        self.engine.on_cold_only(step);
+        self.recoveries.push(RecoveryAction::ColdFallback { step });
+    }
+
+    /// Journals a recovery action; it carries no simulated time.
+    fn recovery(&self, step: u64, action: &str, detail: String) {
+        self.telem.emit(&JournalEvent::Recovery { step, action: action.into(), detail });
+    }
+
+    /// Round boundary. Device loss manifests here (the allreduce after it
+    /// would time out): shrink to the survivors, pay the re-shard,
+    /// continue at the N−1 cost model. Losing the last GPU falls back to
+    /// CPU-only cold execution.
+    fn start_round(&mut self) {
+        let Some(f) = self.injector.fire(FaultKind::DeviceLoss, self.steps as u64) else {
+            return;
+        };
+        let from = self.costs.sys.num_gpus;
+        if from > 1 {
+            let to = from - 1;
+            self.costs.set_gpus(to);
+            self.timeline.merge(&reshard_cost(&self.costs.sys, self.dense_bytes, self.hot_bytes));
+            self.recoveries.push(RecoveryAction::ShrankReplicas {
+                step: f.step,
+                from: from as u32,
+                to: to as u32,
+            });
+            let step = f.step;
+            self.journal(|phases| {
+                Some(JournalEvent::Charge { step, label: "reshard".into(), phases })
+            });
+            self.recovery(step, "shrank-replicas", format!("{from} -> {to}"));
+            self.telem.gauge_set("train.gpus_active", to as f64);
+        } else if self.hot.is_some() {
+            self.fall_back_to_cold(f.step);
+            self.recovery(f.step, "cold-fallback", "last GPU lost; CPU-only cold execution".into());
+        }
+    }
+
+    /// Cold→hot transition before a hot block of `k` batches. A failed
+    /// replication degrades the run to CPU-only; failed syncs are
+    /// retried as pure cost; the refresh then copies the full bags, or
+    /// with the oracle only the union of the next `min(K, k)` access
+    /// sets (everything else is evicted, which is free — the master
+    /// already holds those rows).
+    fn refresh(&mut self, k: usize) {
+        let Some(full_bytes) = self.hot.as_ref().map(|h| h.sync_bytes() as u64) else { return };
+        if let Some(f) = self.injector.fire(FaultKind::ReplicationOom, self.steps as u64) {
+            // The aborted replication attempt still moved (some of) the
+            // bytes; charge it, then degrade.
+            self.timeline.merge(self.costs.sync());
+            self.fall_back_to_cold(f.step);
+            let (step, bytes) = (f.step, full_bytes);
+            self.journal(|phases| {
+                Some(JournalEvent::Sync {
+                    step,
+                    direction: "aborted-replication".into(),
+                    bytes,
+                    phases,
+                })
+            });
+            self.recovery(step, "cold-fallback", "hot-bag replication aborted (OOM)".into());
+            return;
+        }
+        if let Some(f) = self.injector.fire(FaultKind::SyncFailure, self.steps as u64) {
+            // Deterministic number of failed attempts in [1, max_attempts):
+            // each moves the bytes before dying, and each backoff wait
+            // stalls the framework.
+            let failures =
+                1 + self.injector.variation(&f, (self.retry.max_attempts - 1) as u64) as u32;
+            let mut waited = 0.0;
+            for attempt in 1..=failures {
+                self.timeline.merge(self.costs.sync());
+                let d = self.retry.backoff_delay(attempt);
+                self.timeline.add(Phase::Framework, d);
+                waited += d;
+            }
+            self.recoveries.push(RecoveryAction::SyncRetried {
+                step: f.step,
+                attempts: failures + 1,
+                waited_s: waited,
+            });
+            // One journal entry covers every failed attempt: the re-moved
+            // bytes plus the Framework-phase backoff stalls.
+            let (step, bytes) = (f.step, failures as u64 * full_bytes);
+            self.journal(|phases| {
+                Some(JournalEvent::Sync { step, direction: "retry".into(), bytes, phases })
+            });
+            let detail = format!("{} attempts, {waited:.3}s backoff", failures + 1);
+            self.recovery(step, "sync-retried", detail);
+        }
+        let Some(hot) = self.hot.as_mut() else { return };
+        let bytes = if let Some(o) = self.oracle.as_mut() {
+            let plan = o.block_plan(k, self.master.num_tables());
+            let (moved, evicted) = hot.refresh_rows(&self.master, &plan);
+            self.oracle_stats.prefetched_rows += plan.iter().map(|r| r.len() as u64).sum::<u64>();
+            self.oracle_stats.evicted_rows += evicted;
+            self.oracle_stats.moved_bytes += moved;
+            self.oracle_stats.full_bytes += full_bytes;
+            self.timeline.merge(&self.costs.sync_for_bytes(moved as f64));
+            moved
+        } else {
+            hot.refresh_from(&self.master);
+            self.timeline.merge(self.costs.sync());
+            full_bytes
+        };
+        self.transitions += 1;
+        self.engine.on_refresh(self.steps as u64, &self.master, hot);
+        self.settle_sync("refresh", bytes);
+    }
+
+    /// The oracle's work before hot batch `j` of a `k`-batch block:
+    /// slide the window and check this step's rows are resident.
+    fn prefetch(&mut self, j: usize, k: usize, batch: usize) {
+        let (Some(o), Some(hot)) = (self.oracle.as_mut(), self.hot.as_mut()) else { return };
+        // Slide the window: the access set entering it is fetched K−1
+        // steps before it executes, so its transfer overlaps K−1 steps of
+        // compute; only the non-hidden excess is charged. Sets past this
+        // block are left to the next block's plan — the master thaws
+        // between blocks, so bytes fetched across the boundary would go
+        // stale.
+        let window = o.window();
+        if j > 0 && j + window - 1 < k {
+            if let Some(entering) = o.peek(window - 1) {
+                let (rows, bytes) = hot.fetch_missing(&self.master, &entering.per_table);
+                if rows > 0 {
+                    self.oracle_stats.prefetched_rows += rows;
+                    self.oracle_stats.moved_bytes += bytes;
+                    let hidden = (window - 1) as f64 * self.costs.hot_step_cost(batch).total();
+                    let excess =
+                        (self.costs.sync_for_bytes(bytes as f64).total() - hidden).max(0.0);
+                    self.timeline.add(Phase::EmbedSync, excess);
+                }
+            }
+        }
+        // Demand self-check: with an exact oracle this step's rows are
+        // already resident, so misses stay 0; a nonzero count is a planner
+        // bug the fetch below keeps from corrupting training.
+        if let Some(cur) = o.advance() {
+            let accessed = cur.rows() as u64;
+            let (miss_rows, miss_bytes) = hot.fetch_missing(&self.master, &cur.per_table);
+            if miss_rows > 0 {
+                self.oracle_stats.misses += miss_rows;
+                self.oracle_stats.moved_bytes += miss_bytes;
+                self.timeline.merge(&self.costs.sync_for_bytes(miss_bytes as f64));
+            }
+            self.oracle_stats.hits += accessed - miss_rows;
+        }
+    }
+
+    /// Hot→cold transition after a hot block: the full bags, or with the
+    /// oracle only the resident rows (the master copy of everything else
+    /// is already authoritative), go back to the master tables.
+    fn write_back(&mut self) {
+        let Some(hot) = self.hot.as_ref() else { return };
+        let bytes = if self.oracle.is_some() {
+            let bytes = hot.write_back_resident(&mut self.master);
+            self.oracle_stats.moved_bytes += bytes;
+            self.oracle_stats.full_bytes += hot.sync_bytes() as u64;
+            self.timeline.merge(&self.costs.sync_for_bytes(bytes as f64));
+            bytes
+        } else {
+            hot.write_back(&mut self.master);
+            self.timeline.merge(self.costs.sync());
+            hot.sync_bytes() as u64
+        };
+        self.transitions += 1;
+        self.engine.on_write_back(self.steps as u64, &self.master);
+        self.settle_sync("write-back", bytes);
+    }
+
+    /// Journals a completed transition with the engine's side effects.
+    fn settle_sync(&mut self, direction: &str, bytes: u64) {
+        let step = self.steps as u64;
+        self.settle(|phases| {
+            Some(JournalEvent::Sync { step, direction: direction.into(), bytes, phases })
+        });
+        self.telem.counter_add("replicator.sync_bytes", bytes);
+    }
+
+    /// Evaluates on the master tables and records the point. With a
+    /// scheduler, it observes the loss and adapts its rate first.
+    fn eval_round(&mut self, scheduler: Option<&mut ShuffleScheduler>) {
+        let e = evaluate(self.engine.primary(), &self.master, &self.test_batches);
+        let rate = scheduler.map(|s| s.observe_test_loss(e.loss).pct());
+        self.history.push(EvalPoint {
+            iteration: self.steps,
+            test_loss: e.loss,
+            test_accuracy: e.accuracy,
+            rate,
+            hot_steps: self.hot_steps,
+            cold_steps: self.cold_steps,
+            sim_seconds: self.timeline.total(),
+        });
+        self.telem.emit(&JournalEvent::Eval {
+            step: self.steps as u64,
+            test_loss: e.loss,
+            test_accuracy: e.accuracy,
+            rate,
+            hot_steps: self.hot_steps as u64,
+            cold_steps: self.cold_steps as u64,
+            sim_seconds: self.timeline.total(),
+        });
+    }
+
+    /// Writes a checkpoint at a round boundary, where the master tables
+    /// are authoritative and the scheduler has just adapted. Saving
+    /// charges no simulated time — a monitored run costs the same as an
+    /// unmonitored one — except backoff after injected I/O failures.
+    fn checkpoint(
+        &mut self,
+        dir: &Path,
+        epoch: usize,
+        cursors: (usize, usize),
+        sched: SchedulerState,
+    ) {
+        // Flush deferred updates into the master before snapshotting: the
+        // checkpoint must carry no hidden state for resume to stay
+        // bit-identical (a resumed run restarts with an empty pool, and
+        // the continuing run also flushed here — same state either way).
+        if let Some((flush, _)) = self.skip.as_mut().and_then(DeferredSparse::flush_all) {
+            self.master.apply_sparse_grads(&flush, self.cfg.lr);
+        }
+        let mut dense_params = Vec::new();
+        self.engine.primary_ref().write_params(&mut dense_params);
+        let ck = TrainCheckpoint {
+            config_seed: self.cfg.seed,
+            epoch: epoch as u32,
+            hot_cursor: cursors.0 as u64,
+            cold_cursor: cursors.1 as u64,
+            steps: self.steps as u64,
+            hot_steps: self.hot_steps as u64,
+            cold_steps: self.cold_steps as u64,
+            transitions: self.transitions as u64,
+            gpus_active: self.costs.sys.num_gpus as u32,
+            cold_only: self.hot.is_none(),
+            scheduler: sched,
+            timeline: self.timeline.clone(),
+            history: self.history.clone(),
+            faults: self.injector.log().to_vec(),
+            recoveries: self.recoveries.clone(),
+            dense_params,
+            tables: TrainCheckpoint::snapshot_master(&self.master),
+        };
+        // Transient I/O faults make the first save attempts fail; the
+        // bounded-backoff retry absorbs them.
+        let step = self.steps as u64;
+        let io_failures = self
+            .injector
+            .fire(FaultKind::TransientIo, step)
+            .map(|f| 1 + self.injector.variation(&f, (self.retry.max_attempts - 1) as u64) as u32)
+            .unwrap_or(0);
+        let saved = retry_with_backoff(&self.retry, |attempt| {
+            if attempt <= io_failures {
+                Err(io::Error::other("injected transient i/o failure"))
+            } else {
+                ck.save(dir).map_err(|e| io::Error::other(e.to_string()))
+            }
+        });
+        match saved {
+            Ok(r) => {
+                if r.attempts > 1 {
+                    self.timeline.add(Phase::Framework, r.waited_s);
+                    self.recoveries.push(RecoveryAction::RetriedIo {
+                        attempts: r.attempts,
+                        waited_s: r.waited_s,
+                    });
+                    self.journal(|phases| {
+                        Some(JournalEvent::Charge { step, label: "checkpoint-io".into(), phases })
+                    });
+                    let detail = format!("{} attempts, {:.3}s backoff", r.attempts, r.waited_s);
+                    self.recovery(step, "retried-io", detail);
+                }
+                self.telem.counter_add("train.checkpoints_saved", 1);
+            }
+            Err((e, attempts, _)) => {
+                // Checkpointing is best-effort: losing one snapshot must
+                // not kill the training run.
+                eprintln!("fae: checkpoint save failed after {attempts} attempts: {e}");
+            }
+        }
+    }
+
+    /// Ends the run: the final evaluations on the test batches and on
+    /// `train_sample`, the run's closing journal entries and metrics, the
+    /// model digest and the report.
+    fn finish(mut self, final_rate: Option<u32>, train_sample: &[MiniBatch]) -> TrainReport {
+        // Whatever the skip pool still holds is dropped — these are the
+        // elided stale updates of arXiv 2404.04270. The final evaluation
+        // (and the digest) see the master without them.
+        if let Some(pool) = self.skip.as_mut() {
+            pool.drop_pending();
+        }
+        let skip_stats = self.skip.as_ref().map(DeferredSparse::stats).unwrap_or_default();
+        let final_test = evaluate(self.engine.primary(), &self.master, &self.test_batches);
+        let final_train = evaluate(self.engine.primary(), &self.master, train_sample);
+        // Any transport charges drained after the last step have no Step
+        // event to absorb them; journal the residual so the phase seconds
+        // still sum to the final timeline.
+        let step = self.steps as u64;
+        self.settle(|residual| {
+            (residual.total() > 0.0).then(|| JournalEvent::Charge {
+                step,
+                label: "net-drain".into(),
+                phases: residual,
+            })
+        });
+        let telem = &self.telem;
+        if self.skip.is_some() {
+            telem.counter_add("skip.deferred", skip_stats.deferred);
+            telem.counter_add("skip.flushed_threshold", skip_stats.flushed_threshold);
+            telem.counter_add("skip.flushed_access", skip_stats.flushed_access);
+            telem.counter_add("skip.flushed_checkpoint", skip_stats.flushed_checkpoint);
+            telem.counter_add("skip.dropped", skip_stats.dropped);
+        }
+        let oracle = self.oracle_stats;
+        if self.oracle_batches.is_some() {
+            telem.counter_add("oracle.prefetched_rows", oracle.prefetched_rows);
+            telem.counter_add("oracle.evicted_rows", oracle.evicted_rows);
+            telem.counter_add("oracle.hits", oracle.hits);
+            telem.counter_add("oracle.misses", oracle.misses);
+            telem.counter_add("oracle.moved_bytes", oracle.moved_bytes);
+            telem.counter_add(
+                "oracle.saved_bytes",
+                oracle.full_bytes.saturating_sub(oracle.moved_bytes),
+            );
+        }
+        let (steps, sim) = (self.steps, self.timeline.total());
+        telem.emit(&JournalEvent::RunEnd {
+            steps: steps as u64,
+            hot_steps: self.hot_steps as u64,
+            cold_steps: self.cold_steps as u64,
+            transitions: self.transitions as u64,
+            simulated_seconds: sim,
+            final_accuracy: final_test.accuracy,
+            final_rate,
+            interrupted: self.interrupted,
+        });
+        telem.gauge_set("train.simulated_seconds", sim);
+        telem.gauge_set("train.final_accuracy", final_test.accuracy);
+        telem.gauge_set("train.steps_per_sec", if sim > 0.0 { steps as f64 / sim } else { 0.0 });
+        telem.gauge_set(
+            "train.hot_step_share",
+            if steps > 0 { self.hot_steps as f64 / steps as f64 } else { 0.0 },
+        );
+        self.span.add_sim(sim - self.sim_at_start);
+        drop(self.span);
+        let mut final_dense = Vec::new();
+        self.engine.primary_ref().write_params(&mut final_dense);
+        let digest = model_digest(&final_dense, &TrainCheckpoint::snapshot_master(&self.master));
+        let mut faults = self.injector.log().to_vec();
+        if !self.net_faults.is_empty() {
+            faults.extend(self.net_faults);
+            faults.sort_by_key(|f| f.step);
+        }
+        TrainReport {
+            history: self.history,
+            final_test,
+            final_train,
+            simulated_seconds: sim,
+            avg_gpu_power_w: average_gpu_power(&self.timeline),
+            timeline: self.timeline,
+            hot_steps: self.hot_steps,
+            cold_steps: self.cold_steps,
+            transitions: self.transitions,
+            final_rate,
+            faults,
+            recoveries: self.recoveries,
+            interrupted: self.interrupted,
+            model_digest: digest,
+            oracle,
+            skip: skip_stats,
+        }
+    }
 }
 
 /// Trains the baseline: every mini-batch in hybrid CPU-GPU mode.
@@ -514,74 +1058,29 @@ pub fn train_baseline(
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> TrainReport {
+    // One continuing RNG stream: the model, then the master tables, then
+    // every epoch's shuffle.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let model = AnyModel::from_spec(spec, &mut rng);
-    let mut master = MasterEmbeddings::from_spec(spec, &mut rng);
-    let mut engine = ParallelEngine::from_model(model, spec, cfg.seed, cfg.workers);
+    let master = MasterEmbeddings::from_spec(spec, &mut rng);
+    let engine = ParallelEngine::from_model(model, spec, cfg.seed, cfg.workers);
+    let costs = CostModel::new(bridge::profile_for(spec, 0.0), cfg.num_gpus, 0.0);
     let test_batches = make_test_batches(test, cfg.minibatch_size, cfg.eval_batches);
-    let profile = bridge::profile_for(spec, 0.0);
-    let sys = SystemConfig::paper_server(cfg.num_gpus);
-    let mut costs = CostCache::new(&profile, &sys, ExecMode::BaselineHybrid);
-
-    let mut timeline = Timeline::new();
-    let mut history = Vec::new();
-    let mut steps = 0usize;
+    let mut run = Run::new(cfg, &ResilienceOptions::default(), engine, master, costs, test_batches);
     let mut order: Vec<usize> = (0..train.len()).collect();
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         for chunk in order.chunks(cfg.minibatch_size) {
-            let mb = MiniBatch::gather(train, chunk, BatchKind::Unclassified);
-            let (_loss, grads) = engine.step(&master, &mb, cfg.lr);
-            master.apply_sparse_grads(&grads, cfg.lr);
-            costs.charge(&mut timeline, mb.len());
-            steps += 1;
-            if steps.is_multiple_of(cfg.eval_interval) {
-                let e = evaluate(engine.primary(), &master, &test_batches);
-                history.push(EvalPoint {
-                    iteration: steps,
-                    test_loss: e.loss,
-                    test_accuracy: e.accuracy,
-                    rate: None,
-                    hot_steps: 0,
-                    cold_steps: steps,
-                    sim_seconds: timeline.total(),
-                });
+            // The baseline has no scheduler, so the journalled rate is 0.
+            run.step(&MiniBatch::gather(train, chunk, BatchKind::Unclassified), StepMode::Cold, 0);
+            if run.steps.is_multiple_of(cfg.eval_interval) {
+                run.eval_round(None);
             }
         }
     }
-    let final_test = evaluate(engine.primary(), &master, &test_batches);
-    let train_batches = make_test_batches(train, cfg.minibatch_size, cfg.eval_batches);
-    let final_train = evaluate(engine.primary(), &master, &train_batches);
-    history.push(EvalPoint {
-        iteration: steps,
-        test_loss: final_test.loss,
-        test_accuracy: final_test.accuracy,
-        rate: None,
-        hot_steps: 0,
-        cold_steps: steps,
-        sim_seconds: timeline.total(),
-    });
-    let mut final_dense = Vec::new();
-    engine.primary_ref().write_params(&mut final_dense);
-    let digest = model_digest(&final_dense, &TrainCheckpoint::snapshot_master(&master));
-    TrainReport {
-        history,
-        final_test,
-        final_train,
-        simulated_seconds: timeline.total(),
-        avg_gpu_power_w: average_gpu_power(&timeline),
-        timeline,
-        hot_steps: 0,
-        cold_steps: steps,
-        transitions: 0,
-        final_rate: None,
-        faults: Vec::new(),
-        recoveries: Vec::new(),
-        interrupted: false,
-        model_digest: digest,
-        oracle: OracleStats::default(),
-        skip: SkipStats::default(),
-    }
+    run.eval_round(None);
+    let train_sample = make_test_batches(train, cfg.minibatch_size, cfg.eval_batches);
+    run.finish(None, &train_sample)
 }
 
 /// Trains with the FAE framework over a preprocessed hot/cold stream.
@@ -615,30 +1114,36 @@ pub fn train_fae_resilient(
     })
 }
 
-/// Absorbs a [`StepEngine`]'s transport side effects into the training
-/// loop's bookkeeping. `step_charges` fold into the surrounding journal
-/// delta; `event_charges` advance the snapshot too, because the drained
-/// journal events already carry those phase seconds.
-fn absorb_net<En: StepEngine>(
-    engine: &mut En,
-    timeline: &mut Timeline,
-    tl_prev: &mut Timeline,
-    net_faults: &mut Vec<InjectedFault>,
-    recoveries: &mut Vec<RecoveryAction>,
-    telem: &Telemetry,
-) {
-    let net = engine.drain_net();
-    if net.is_empty() {
-        return;
+/// The latest readable checkpoint in `dir`, if any. An unreadable one is
+/// reported and ignored: the run starts fresh.
+fn load_checkpoint(dir: &Path, seed: u64) -> Option<TrainCheckpoint> {
+    let path = match latest_in(dir) {
+        Ok(path) => path?,
+        Err(e) => {
+            eprintln!("fae: cannot scan checkpoint dir: {e}; starting fresh");
+            return None;
+        }
+    };
+    match TrainCheckpoint::load(&path) {
+        Ok(ck) => {
+            assert_eq!(
+                ck.config_seed,
+                seed,
+                "checkpoint {} was written by a run with seed {}, not {}",
+                path.display(),
+                ck.config_seed,
+                seed
+            );
+            Some(ck)
+        }
+        Err(e) => {
+            eprintln!(
+                "fae: ignoring unreadable checkpoint {}: {e}; starting fresh",
+                path.display()
+            );
+            None
+        }
     }
-    timeline.merge(&net.step_charges);
-    timeline.merge(&net.event_charges);
-    tl_prev.merge(&net.event_charges);
-    for ev in &net.journal {
-        telem.emit(ev);
-    }
-    net_faults.extend(net.faults);
-    recoveries.extend(net.recoveries);
 }
 
 /// The FAE training loop, generic over the step executor: pass the
@@ -669,70 +1174,24 @@ where
     } else {
         MasterEmbeddings::from_spec(spec, &mut rng)
     };
-
-    let mut scheduler = ShuffleScheduler::new(Rate::new(cfg.initial_rate));
-    let mut timeline = Timeline::new();
-    let mut history: Vec<EvalPoint> = Vec::new();
-    let (mut hot_steps, mut cold_steps, mut transitions, mut steps) = (0usize, 0usize, 0usize, 0);
-    let mut gpus_active = cfg.num_gpus.max(1);
-    let mut cold_only = false;
-    let mut injector = FaultInjector::new(opts.plan.clone());
-    let mut recoveries: Vec<RecoveryAction> = Vec::new();
-    let retry = RetryPolicy::default();
-    let mut start_epoch = 0usize;
-    let mut resume_cursors: Option<(usize, usize)> = None;
-    let mut resumed = false;
-
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            match latest_in(dir) {
-                Ok(Some(path)) => match TrainCheckpoint::load(&path) {
-                    Ok(ck) => {
-                        assert_eq!(
-                            ck.config_seed,
-                            cfg.seed,
-                            "checkpoint {} was written by a run with seed {}, not {}",
-                            path.display(),
-                            ck.config_seed,
-                            cfg.seed
-                        );
-                        model.read_params(&ck.dense_params);
-                        master = ck.restore_master();
-                        if cfg.quantize_cold {
-                            master.quantize_cold_tier(&pre.partitions);
-                        }
-                        scheduler = ShuffleScheduler::from_state(&ck.scheduler);
-                        timeline = ck.timeline.clone();
-                        history = ck.history.clone();
-                        steps = ck.steps as usize;
-                        hot_steps = ck.hot_steps as usize;
-                        cold_steps = ck.cold_steps as usize;
-                        transitions = ck.transitions as usize;
-                        gpus_active = ck.gpus_active as usize;
-                        cold_only = ck.cold_only;
-                        injector.restore(ck.faults.clone());
-                        recoveries = ck.recoveries;
-                        recoveries.push(RecoveryAction::ResumedFromCheckpoint { step: ck.steps });
-                        start_epoch = ck.epoch as usize;
-                        resume_cursors = Some((ck.hot_cursor as usize, ck.cold_cursor as usize));
-                        resumed = true;
-                    }
-                    Err(e) => eprintln!(
-                        "fae: ignoring unreadable checkpoint {}: {e}; starting fresh",
-                        path.display()
-                    ),
-                },
-                Ok(None) => {}
-                Err(e) => eprintln!("fae: cannot scan checkpoint dir: {e}; starting fresh"),
+    let resumed = opts
+        .checkpoint_dir
+        .as_deref()
+        .filter(|_| opts.resume)
+        .and_then(|dir| load_checkpoint(dir, cfg.seed));
+    let mut scheduler = match &resumed {
+        Some(ck) => {
+            model.read_params(&ck.dense_params);
+            master = ck.restore_master();
+            if cfg.quantize_cold {
+                master.quantize_cold_tier(&pre.partitions);
             }
+            ShuffleScheduler::from_state(&ck.scheduler)
         }
-    }
-
+        None => ShuffleScheduler::new(Rate::new(cfg.initial_rate)),
+    };
     let telem = opts.telemetry.clone();
-    let enabled = telem.enabled();
-    let mut span_train = telem.span("train");
     scheduler.set_telemetry(telem.clone());
-    injector.set_telemetry(telem.clone());
 
     // The execution engine owns the model replicas from here on. A
     // checkpoint restore above only touched replica 0, so re-broadcast
@@ -740,80 +1199,65 @@ where
     let mut engine = make_engine(model);
     engine.broadcast_params();
     engine.set_telemetry(telem.clone());
-    if resumed {
+    if resumed.is_some() {
         engine.on_master_restored(&master);
     }
-    let mut net_faults: Vec<InjectedFault> = Vec::new();
 
     let mut hot = HotEmbeddings::build(&master, pre.partitions.to_vec());
     hot.set_telemetry(telem.clone());
     let hot_bytes = hot.hot_bytes() as f64;
+    let gpus = resumed.as_ref().map_or(cfg.num_gpus.max(1), |ck| ck.gpus_active as usize);
+    let costs = CostModel::new(bridge::profile_for(spec, hot_bytes), gpus, hot.sync_bytes() as f64);
     let test_batches = make_test_batches(test, cfg.minibatch_size, cfg.eval_batches);
-    let profile = bridge::profile_for(spec, hot_bytes);
-    let mut costs = FaeCostModel::new(profile, gpus_active, hot.sync_bytes() as f64);
-    let dense_bytes = engine.primary_ref().dense_param_count() as f64 * 4.0;
-
-    // Oracle lookahead state: the hot stream is shared with a per-epoch
-    // background access-set producer; counters live for the whole run.
-    let oracle_batches: Option<Arc<Vec<MiniBatch>>> =
-        (cfg.lookahead > 0).then(|| Arc::new(pre.hot_batches.clone()));
-    let mut oracle_stats = OracleStats::default();
-    // Stale-skip state: deferred cold-row gradients (DESIGN.md §15).
-    let mut skip = (cfg.stale_skip > 0.0)
-        .then(|| DeferredSparse::new(master.num_tables(), master.dim(), cfg.stale_skip, cfg.lr));
+    let mut run = Run::new(cfg, opts, engine, master, costs, test_batches);
+    run.hot = Some(hot);
+    run.hot_bytes = hot_bytes;
+    run.partitions = &pre.partitions;
+    run.skip = (cfg.stale_skip > 0.0).then(|| {
+        DeferredSparse::new(run.master.num_tables(), run.master.dim(), cfg.stale_skip, cfg.lr)
+    });
+    run.oracle_batches = (cfg.lookahead > 0).then(|| Arc::new(pre.hot_batches.clone()));
+    if let Some(ck) = &resumed {
+        run.restore(ck);
+    }
 
     telem.emit(&JournalEvent::RunStart {
         workload: spec.name.clone(),
         seed: cfg.seed,
-        num_gpus: gpus_active,
-        workers: engine.workers(),
+        num_gpus: gpus,
+        workers: run.engine.workers(),
         epochs: cfg.epochs,
         minibatch_size: cfg.minibatch_size,
         initial_rate: cfg.initial_rate,
         lookahead: cfg.lookahead as u64,
         stale_skip: cfg.stale_skip as f64,
     });
-    telem.gauge_set("train.gpus_active", gpus_active as f64);
-    let sim_at_start = timeline.total();
-    // Every timeline mutation below is journalled as the delta against
-    // this snapshot, so the journal's phase seconds sum exactly to the
-    // final `TrainReport::simulated_seconds`.
-    let mut tl_prev = timeline.clone();
-    if resumed && enabled {
-        telem.emit(&JournalEvent::Recovery {
-            step: steps as u64,
-            action: "resumed-from-checkpoint".into(),
-            detail: format!("replaying from step {steps}"),
-        });
-        // The checkpoint carried simulated time accumulated before the
-        // resume; journal it so the sums-to-total invariant holds for
-        // resumed runs too.
-        telem.emit(&JournalEvent::Charge {
-            step: steps as u64,
-            label: "resumed-prior-timeline".into(),
-            phases: PhaseSeconds::delta(&Timeline::new(), &timeline),
-        });
-        telem.counter_add("train.resumes", 1);
-    }
-
-    if !resumed {
-        // Initial replication of the hot bags onto the GPUs.
-        timeline.merge(costs.sync());
-        if enabled {
-            telem.emit(&JournalEvent::Sync {
-                step: steps as u64,
-                direction: "initial".into(),
-                bytes: hot.sync_bytes() as u64,
-                phases: take_delta(&mut tl_prev, &timeline),
+    telem.gauge_set("train.gpus_active", gpus as f64);
+    match &resumed {
+        Some(ck) if telem.enabled() => {
+            telem.emit(&JournalEvent::Recovery {
+                step: ck.steps,
+                action: "resumed-from-checkpoint".into(),
+                detail: format!("replaying from step {}", ck.steps),
             });
-            telem.counter_add("replicator.sync_bytes", hot.sync_bytes() as u64);
+            // The checkpoint carried simulated time accumulated before the
+            // resume; journal it so the sums-to-total invariant holds for
+            // resumed runs too.
+            telem.emit(&JournalEvent::Charge {
+                step: ck.steps,
+                label: "resumed-prior-timeline".into(),
+                phases: PhaseSeconds::delta(&Timeline::new(), &ck.timeline),
+            });
+            telem.counter_add("train.resumes", 1);
         }
+        Some(_) => {}
+        None => run.replicate(),
     }
 
     let n_hot = pre.hot_batches.len();
     let n_cold = pre.cold_batches.len();
-    let halt_at = opts.halt_after_steps.unwrap_or(usize::MAX);
-    let mut interrupted = false;
+    let start_epoch = resumed.as_ref().map_or(0, |ck| ck.epoch as usize);
+    let mut cursors = resumed.map(|ck| (ck.hot_cursor as usize, ck.cold_cursor as usize));
     let mut rounds_done = 0usize;
 
     'epochs: for epoch in start_epoch..cfg.epochs {
@@ -824,494 +1268,53 @@ where
         let mut cold_order: Vec<usize> = (0..n_cold).collect();
         hot_order.shuffle(&mut ep_rng);
         cold_order.shuffle(&mut ep_rng);
-        let (mut hp, mut cp) = resume_cursors.take().unwrap_or((0, 0));
-
-        // The epoch's streaming oracle over the hot order just drawn. A
-        // resumed run fast-forwards to the hot cursor; a degraded
-        // (cold-only) run has no hot bags to manage, so no oracle.
-        let mut oracle = match &oracle_batches {
-            Some(batches) if !cold_only => {
-                match LookaheadOracle::spawn(batches.clone(), hot_order.clone(), cfg.lookahead) {
-                    Ok(mut o) => {
-                        o.skip(hp);
-                        Some(o)
-                    }
-                    Err(e) => {
-                        eprintln!("fae: lookahead oracle unavailable ({e}); full-bag syncs");
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
+        let (mut hp, mut cp) = cursors.take().unwrap_or((0, 0));
+        run.start_epoch(&hot_order, hp);
 
         // §III-C: "The scheduler always begins with training on cold
         // inputs", then alternates rate-sized blocks.
         while hp < n_hot || cp < n_cold {
-            // Device loss manifests at the round boundary (the allreduce
-            // after it would time out): shrink to the survivors, pay the
-            // re-shard, continue at the N−1 cost model.
-            if let Some(f) = injector.fire(FaultKind::DeviceLoss, steps as u64) {
-                if gpus_active > 1 {
-                    let from = gpus_active;
-                    gpus_active -= 1;
-                    costs.set_gpus(gpus_active);
-                    timeline.merge(&reshard_cost(&costs.sys, dense_bytes, hot_bytes));
-                    recoveries.push(RecoveryAction::ShrankReplicas {
-                        step: f.step,
-                        from: from as u32,
-                        to: gpus_active as u32,
-                    });
-                    if enabled {
-                        telem.emit(&JournalEvent::Charge {
-                            step: f.step,
-                            label: "reshard".into(),
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.emit(&JournalEvent::Recovery {
-                            step: f.step,
-                            action: "shrank-replicas".into(),
-                            detail: format!("{from} -> {gpus_active}"),
-                        });
-                        telem.gauge_set("train.gpus_active", gpus_active as f64);
-                    }
-                } else if !cold_only {
-                    // No GPU left to host the hot bags: CPU-only cold
-                    // execution for the rest of the run.
-                    cold_only = true;
-                    engine.on_cold_only(f.step);
-                    recoveries.push(RecoveryAction::ColdFallback { step: f.step });
-                    if enabled {
-                        telem.emit(&JournalEvent::Recovery {
-                            step: f.step,
-                            action: "cold-fallback".into(),
-                            detail: "last GPU lost; CPU-only cold execution".into(),
-                        });
-                    }
-                }
-            }
+            run.start_round();
             let rate = scheduler.rate();
             // Cold block on the CPU master tables.
             if cp < n_cold {
                 let k = rate.block_len(n_cold).min(n_cold - cp);
                 for &b in &cold_order[cp..cp + k] {
-                    let mb = &pre.cold_batches[b];
-                    let loss = cold_step_with_skip(
-                        &mut engine,
-                        &mut master,
-                        mb,
-                        steps as u64,
-                        cfg.lr,
-                        &pre.partitions,
-                        &mut skip,
-                        &mut costs,
-                        &mut timeline,
-                    );
-                    cold_steps += 1;
-                    steps += 1;
-                    absorb_net(
-                        &mut engine,
-                        &mut timeline,
-                        &mut tl_prev,
-                        &mut net_faults,
-                        &mut recoveries,
-                        &telem,
-                    );
-                    if enabled {
-                        telem.emit(&JournalEvent::Step {
-                            step: steps as u64,
-                            mode: StepMode::Cold,
-                            rate: rate.pct(),
-                            loss: loss as f64,
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.counter_add("train.steps_cold", 1);
-                        telem.observe("train.step_loss", loss as f64);
-                    }
-                    if steps >= halt_at {
-                        interrupted = true;
+                    if run.step(&pre.cold_batches[b], StepMode::Cold, rate.pct()) {
                         break 'epochs;
                     }
                 }
                 cp += k;
             }
-            // Hot block on the replicated GPU bags, bracketed by syncs.
+            // Hot block on the replicated GPU bags, bracketed by syncs. A
+            // run degraded to CPU-only still trains the hot inputs — on
+            // the master tables at hybrid cost, with no sync traffic.
             if hp < n_hot {
                 let k = rate.block_len(n_hot).min(n_hot - hp);
-                if !cold_only {
-                    if let Some(f) = injector.fire(FaultKind::ReplicationOom, steps as u64) {
-                        // The aborted replication attempt still moved (some
-                        // of) the bytes; charge it, then degrade: all
-                        // remaining batches run CPU-resident.
-                        timeline.merge(costs.sync());
-                        cold_only = true;
-                        engine.on_cold_only(f.step);
-                        recoveries.push(RecoveryAction::ColdFallback { step: f.step });
-                        if enabled {
-                            telem.emit(&JournalEvent::Sync {
-                                step: f.step,
-                                direction: "aborted-replication".into(),
-                                bytes: hot.sync_bytes() as u64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.emit(&JournalEvent::Recovery {
-                                step: f.step,
-                                action: "cold-fallback".into(),
-                                detail: "hot-bag replication aborted (OOM)".into(),
-                            });
-                        }
+                run.refresh(k);
+                for (j, &b) in hot_order[hp..hp + k].iter().enumerate() {
+                    let mb = &pre.hot_batches[b];
+                    run.prefetch(j, k, mb.len());
+                    if run.step(mb, StepMode::Hot, rate.pct()) {
+                        break 'epochs;
                     }
                 }
-                if cold_only {
-                    // Degraded path: hot inputs are still *trained* — on the
-                    // master tables at hybrid cost, with no sync traffic.
-                    // No hot bags means nothing for the oracle to manage.
-                    oracle = None;
-                    for &b in &hot_order[hp..hp + k] {
-                        let mb = &pre.hot_batches[b];
-                        let loss = cold_step_with_skip(
-                            &mut engine,
-                            &mut master,
-                            mb,
-                            steps as u64,
-                            cfg.lr,
-                            &pre.partitions,
-                            &mut skip,
-                            &mut costs,
-                            &mut timeline,
-                        );
-                        cold_steps += 1;
-                        steps += 1;
-                        absorb_net(
-                            &mut engine,
-                            &mut timeline,
-                            &mut tl_prev,
-                            &mut net_faults,
-                            &mut recoveries,
-                            &telem,
-                        );
-                        if enabled {
-                            telem.emit(&JournalEvent::Step {
-                                step: steps as u64,
-                                mode: StepMode::Cold,
-                                rate: rate.pct(),
-                                loss: loss as f64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.counter_add("train.steps_cold", 1);
-                            telem.observe("train.step_loss", loss as f64);
-                        }
-                        if steps >= halt_at {
-                            interrupted = true;
-                            break 'epochs;
-                        }
-                    }
-                    hp += k;
-                } else {
-                    if let Some(f) = injector.fire(FaultKind::SyncFailure, steps as u64) {
-                        // Deterministic number of failed attempts in
-                        // [1, max_attempts): each moves the bytes before
-                        // dying, and each backoff wait stalls the framework.
-                        let failures =
-                            1 + injector.variation(&f, (retry.max_attempts - 1) as u64) as u32;
-                        let mut waited = 0.0;
-                        for attempt in 1..=failures {
-                            timeline.merge(costs.sync());
-                            let d = retry.backoff_delay(attempt);
-                            timeline.add(Phase::Framework, d);
-                            waited += d;
-                        }
-                        recoveries.push(RecoveryAction::SyncRetried {
-                            step: f.step,
-                            attempts: failures + 1,
-                            waited_s: waited,
-                        });
-                        if enabled {
-                            // One journal entry covers every failed
-                            // attempt: the re-moved bytes plus the
-                            // Framework-phase backoff stalls.
-                            telem.emit(&JournalEvent::Sync {
-                                step: f.step,
-                                direction: "retry".into(),
-                                bytes: failures as u64 * hot.sync_bytes() as u64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.emit(&JournalEvent::Recovery {
-                                step: f.step,
-                                action: "sync-retried".into(),
-                                detail: format!("{} attempts, {waited:.3}s backoff", failures + 1),
-                            });
-                        }
-                    }
-                    let refresh_bytes = if let Some(o) = oracle.as_mut() {
-                        // Oracle refresh: copy only the union of the next
-                        // min(K, block) hot access sets; everything else
-                        // is evicted (free — the master already holds
-                        // those rows, nothing moves).
-                        let plan = o.block_plan(k, master.num_tables());
-                        let (moved, evicted) = hot.refresh_rows(&master, &plan);
-                        oracle_stats.prefetched_rows +=
-                            plan.iter().map(|r| r.len() as u64).sum::<u64>();
-                        oracle_stats.evicted_rows += evicted;
-                        oracle_stats.moved_bytes += moved;
-                        oracle_stats.full_bytes += hot.sync_bytes() as u64;
-                        timeline.merge(&costs.sync_for_bytes(moved as f64));
-                        moved
-                    } else {
-                        hot.refresh_from(&master);
-                        timeline.merge(costs.sync());
-                        hot.sync_bytes() as u64
-                    };
-                    transitions += 1;
-                    engine.on_refresh(steps as u64, &master, &hot);
-                    absorb_net(
-                        &mut engine,
-                        &mut timeline,
-                        &mut tl_prev,
-                        &mut net_faults,
-                        &mut recoveries,
-                        &telem,
-                    );
-                    if enabled {
-                        telem.emit(&JournalEvent::Sync {
-                            step: steps as u64,
-                            direction: "refresh".into(),
-                            bytes: refresh_bytes,
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.counter_add("replicator.sync_bytes", refresh_bytes);
-                    }
-                    for (j, &b) in hot_order[hp..hp + k].iter().enumerate() {
-                        let mb = &pre.hot_batches[b];
-                        if let Some(o) = oracle.as_mut() {
-                            // Slide the window: the access set entering it
-                            // is fetched K−1 steps before it executes, so
-                            // its transfer overlaps K−1 steps of compute;
-                            // only the non-hidden excess is charged. Sets
-                            // past this block are left to the next block's
-                            // plan — the master thaws between blocks, so
-                            // bytes fetched across the boundary would go
-                            // stale.
-                            let window = o.window();
-                            if j > 0 && j + window - 1 < k {
-                                if let Some(entering) = o.peek(window - 1) {
-                                    let (rows, bytes) =
-                                        hot.fetch_missing(&master, &entering.per_table);
-                                    if rows > 0 {
-                                        oracle_stats.prefetched_rows += rows;
-                                        oracle_stats.moved_bytes += bytes;
-                                        let hidden =
-                                            (window - 1) as f64 * costs.hot_step_seconds(mb.len());
-                                        let excess =
-                                            (costs.sync_seconds(bytes as f64) - hidden).max(0.0);
-                                        timeline.add(Phase::EmbedSync, excess);
-                                    }
-                                }
-                            }
-                            // Demand self-check: with an exact oracle this
-                            // step's rows are already resident, so misses
-                            // stay 0; a nonzero count is a planner bug the
-                            // fetch below keeps from corrupting training.
-                            if let Some(cur) = o.advance() {
-                                let accessed = cur.rows() as u64;
-                                let (miss_rows, miss_bytes) =
-                                    hot.fetch_missing(&master, &cur.per_table);
-                                if miss_rows > 0 {
-                                    oracle_stats.misses += miss_rows;
-                                    oracle_stats.moved_bytes += miss_bytes;
-                                    timeline.merge(&costs.sync_for_bytes(miss_bytes as f64));
-                                }
-                                oracle_stats.hits += accessed - miss_rows;
-                            }
-                        }
-                        // Hot steps apply the merged sparse gradient
-                        // shard-parallel — disjoint row ranges, exact.
-                        let (loss, grads) =
-                            engine.engine_step(&hot, mb, steps as u64, StepMode::Hot, cfg.lr);
-                        hot.apply_shared(&grads, cfg.lr);
-                        costs.charge_hot(&mut timeline, mb.len());
-                        hot_steps += 1;
-                        steps += 1;
-                        absorb_net(
-                            &mut engine,
-                            &mut timeline,
-                            &mut tl_prev,
-                            &mut net_faults,
-                            &mut recoveries,
-                            &telem,
-                        );
-                        if enabled {
-                            telem.emit(&JournalEvent::Step {
-                                step: steps as u64,
-                                mode: StepMode::Hot,
-                                rate: rate.pct(),
-                                loss: loss as f64,
-                                phases: take_delta(&mut tl_prev, &timeline),
-                            });
-                            telem.counter_add("train.steps_hot", 1);
-                            telem.observe("train.step_loss", loss as f64);
-                        }
-                        if steps >= halt_at {
-                            interrupted = true;
-                            break 'epochs;
-                        }
-                    }
-                    hp += k;
-                    let wb_bytes = if oracle.is_some() {
-                        // Only resident rows can have been trained on the
-                        // devices; the master copy of everything else is
-                        // already authoritative.
-                        let bytes = hot.write_back_resident(&mut master);
-                        oracle_stats.moved_bytes += bytes;
-                        oracle_stats.full_bytes += hot.sync_bytes() as u64;
-                        timeline.merge(&costs.sync_for_bytes(bytes as f64));
-                        bytes
-                    } else {
-                        hot.write_back(&mut master);
-                        timeline.merge(costs.sync());
-                        hot.sync_bytes() as u64
-                    };
-                    transitions += 1;
-                    engine.on_write_back(steps as u64, &master);
-                    absorb_net(
-                        &mut engine,
-                        &mut timeline,
-                        &mut tl_prev,
-                        &mut net_faults,
-                        &mut recoveries,
-                        &telem,
-                    );
-                    if enabled {
-                        telem.emit(&JournalEvent::Sync {
-                            step: steps as u64,
-                            direction: "write-back".into(),
-                            bytes: wb_bytes,
-                            phases: take_delta(&mut tl_prev, &timeline),
-                        });
-                        telem.counter_add("replicator.sync_bytes", wb_bytes);
-                    }
-                }
+                hp += k;
+                run.write_back();
             }
             // Evaluate on the (synchronised) master copy and adapt.
-            let e = evaluate(engine.primary(), &master, &test_batches);
-            let new_rate = scheduler.observe_test_loss(e.loss);
-            history.push(EvalPoint {
-                iteration: steps,
-                test_loss: e.loss,
-                test_accuracy: e.accuracy,
-                rate: Some(new_rate.pct()),
-                hot_steps,
-                cold_steps,
-                sim_seconds: timeline.total(),
-            });
-            telem.emit(&JournalEvent::Eval {
-                step: steps as u64,
-                test_loss: e.loss,
-                test_accuracy: e.accuracy,
-                rate: Some(new_rate.pct()),
-                hot_steps: hot_steps as u64,
-                cold_steps: cold_steps as u64,
-                sim_seconds: timeline.total(),
-            });
+            run.eval_round(Some(&mut scheduler));
             rounds_done += 1;
-            // Checkpoint at the round boundary: master tables are
-            // authoritative and the scheduler has just adapted. Saving
-            // charges no simulated time — a monitored run costs the same
-            // as an unmonitored one.
             if let Some(dir) = &opts.checkpoint_dir {
                 if opts.checkpoint_every_rounds > 0
                     && rounds_done.is_multiple_of(opts.checkpoint_every_rounds)
                 {
-                    // Flush deferred updates into the master before
-                    // snapshotting: the checkpoint must carry no hidden
-                    // state for resume to stay bit-identical (a resumed
-                    // run restarts with an empty pool, and the continuing
-                    // run also flushed here — same state either way).
-                    if let Some(pool) = skip.as_mut() {
-                        if let Some((flush, _)) = pool.flush_all() {
-                            master.apply_sparse_grads(&flush, cfg.lr);
-                        }
-                    }
-                    let mut dense_params = Vec::new();
-                    engine.primary_ref().write_params(&mut dense_params);
-                    let ck = TrainCheckpoint {
-                        config_seed: cfg.seed,
-                        epoch: epoch as u32,
-                        hot_cursor: hp as u64,
-                        cold_cursor: cp as u64,
-                        steps: steps as u64,
-                        hot_steps: hot_steps as u64,
-                        cold_steps: cold_steps as u64,
-                        transitions: transitions as u64,
-                        gpus_active: gpus_active as u32,
-                        cold_only,
-                        scheduler: scheduler.state(),
-                        timeline: timeline.clone(),
-                        history: history.clone(),
-                        faults: injector.log().to_vec(),
-                        recoveries: recoveries.clone(),
-                        dense_params,
-                        tables: TrainCheckpoint::snapshot_master(&master),
-                    };
-                    // Transient I/O faults make the first save attempts
-                    // fail; the bounded-backoff retry absorbs them.
-                    let io_failures = injector
-                        .fire(FaultKind::TransientIo, steps as u64)
-                        .map(|f| 1 + injector.variation(&f, (retry.max_attempts - 1) as u64) as u32)
-                        .unwrap_or(0);
-                    let saved = retry_with_backoff(&retry, |attempt| {
-                        if attempt <= io_failures {
-                            Err(io::Error::other("injected transient i/o failure"))
-                        } else {
-                            ck.save(dir).map_err(|e| io::Error::other(e.to_string()))
-                        }
-                    });
-                    match saved {
-                        Ok(r) => {
-                            if r.attempts > 1 {
-                                timeline.add(Phase::Framework, r.waited_s);
-                                recoveries.push(RecoveryAction::RetriedIo {
-                                    attempts: r.attempts,
-                                    waited_s: r.waited_s,
-                                });
-                                if enabled {
-                                    telem.emit(&JournalEvent::Charge {
-                                        step: steps as u64,
-                                        label: "checkpoint-io".into(),
-                                        phases: take_delta(&mut tl_prev, &timeline),
-                                    });
-                                    telem.emit(&JournalEvent::Recovery {
-                                        step: steps as u64,
-                                        action: "retried-io".into(),
-                                        detail: format!(
-                                            "{} attempts, {:.3}s backoff",
-                                            r.attempts, r.waited_s
-                                        ),
-                                    });
-                                }
-                            }
-                            telem.counter_add("train.checkpoints_saved", 1);
-                        }
-                        Err((e, attempts, _)) => {
-                            // Checkpointing is best-effort: losing one
-                            // snapshot must not kill the training run.
-                            eprintln!("fae: checkpoint save failed after {attempts} attempts: {e}");
-                        }
-                    }
+                    run.checkpoint(dir, epoch, (hp, cp), scheduler.state());
                 }
             }
         }
     }
 
-    // End of run: whatever the skip pool still holds is dropped — these
-    // are the elided stale updates of arXiv 2404.04270. The final
-    // evaluation (and the digest) see the master without them.
-    if let Some(pool) = skip.as_mut() {
-        pool.drop_pending();
-    }
-    let skip_stats = skip.as_ref().map(DeferredSparse::stats).unwrap_or_default();
-
-    let final_test = evaluate(engine.primary(), &master, &test_batches);
     let train_sample: Vec<MiniBatch> = pre
         .hot_batches
         .iter()
@@ -1319,87 +1322,7 @@ where
         .chain(pre.cold_batches.iter().take(cfg.eval_batches / 2 + 1))
         .cloned()
         .collect();
-    let final_train = evaluate(engine.primary(), &master, &train_sample);
-    absorb_net(&mut engine, &mut timeline, &mut tl_prev, &mut net_faults, &mut recoveries, &telem);
-    // Any transport charges drained after the last step have no Step
-    // event to absorb them; journal the residual so the phase seconds
-    // still sum to the final timeline.
-    if enabled {
-        let residual = take_delta(&mut tl_prev, &timeline);
-        if residual.total() > 0.0 {
-            telem.emit(&JournalEvent::Charge {
-                step: steps as u64,
-                label: "net-drain".into(),
-                phases: residual,
-            });
-        }
-    }
-    if skip.is_some() {
-        telem.counter_add("skip.deferred", skip_stats.deferred);
-        telem.counter_add("skip.flushed_threshold", skip_stats.flushed_threshold);
-        telem.counter_add("skip.flushed_access", skip_stats.flushed_access);
-        telem.counter_add("skip.flushed_checkpoint", skip_stats.flushed_checkpoint);
-        telem.counter_add("skip.dropped", skip_stats.dropped);
-    }
-    if oracle_batches.is_some() {
-        telem.counter_add("oracle.prefetched_rows", oracle_stats.prefetched_rows);
-        telem.counter_add("oracle.evicted_rows", oracle_stats.evicted_rows);
-        telem.counter_add("oracle.hits", oracle_stats.hits);
-        telem.counter_add("oracle.misses", oracle_stats.misses);
-        telem.counter_add("oracle.moved_bytes", oracle_stats.moved_bytes);
-        telem.counter_add(
-            "oracle.saved_bytes",
-            oracle_stats.full_bytes.saturating_sub(oracle_stats.moved_bytes),
-        );
-    }
-    telem.emit(&JournalEvent::RunEnd {
-        steps: steps as u64,
-        hot_steps: hot_steps as u64,
-        cold_steps: cold_steps as u64,
-        transitions: transitions as u64,
-        simulated_seconds: timeline.total(),
-        final_accuracy: final_test.accuracy,
-        final_rate: Some(scheduler.rate().pct()),
-        interrupted,
-    });
-    telem.gauge_set("train.simulated_seconds", timeline.total());
-    telem.gauge_set("train.final_accuracy", final_test.accuracy);
-    telem.gauge_set(
-        "train.steps_per_sec",
-        if timeline.total() > 0.0 { steps as f64 / timeline.total() } else { 0.0 },
-    );
-    telem.gauge_set(
-        "train.hot_step_share",
-        if steps > 0 { hot_steps as f64 / steps as f64 } else { 0.0 },
-    );
-    span_train.add_sim(timeline.total() - sim_at_start);
-    drop(span_train);
-    let mut final_dense = Vec::new();
-    engine.primary_ref().write_params(&mut final_dense);
-    let digest = model_digest(&final_dense, &TrainCheckpoint::snapshot_master(&master));
-    let mut faults = injector.log().to_vec();
-    if !net_faults.is_empty() {
-        faults.extend(net_faults);
-        faults.sort_by_key(|f| f.step);
-    }
-    TrainReport {
-        history,
-        final_test,
-        final_train,
-        simulated_seconds: timeline.total(),
-        avg_gpu_power_w: average_gpu_power(&timeline),
-        timeline,
-        hot_steps,
-        cold_steps,
-        transitions,
-        final_rate: Some(scheduler.rate().pct()),
-        faults,
-        recoveries,
-        interrupted,
-        model_digest: digest,
-        oracle: oracle_stats,
-        skip: skip_stats,
-    }
+    run.finish(Some(scheduler.rate().pct()), &train_sample)
 }
 
 #[cfg(test)]

@@ -12,8 +12,6 @@
 //!   threshold, with global→hot-local index remapping,
 //! * [`HotEmbeddingBag`] — the extracted hot rows as a compact table that
 //!   fits in GPU memory, plus write-back to the master table,
-//! * [`ReplicatedHotEmbedding`] — N device replicas of a hot bag with
-//!   gradient all-reduce, modelling the paper's *embedding replicator*,
 //! * [`ShardedEmbeddingTable`] — row-range shards behind per-shard locks
 //!   for Hogwild-style concurrent lookups and sparse SGD from the parallel
 //!   execution engine's worker threads,
@@ -23,21 +21,17 @@
 #![warn(missing_docs)]
 
 pub mod deferred;
-pub mod half;
 pub mod partition;
 pub mod quant;
-pub mod replica;
 pub mod sharded;
 pub mod sparse;
 pub mod stats;
 pub mod table;
 
 pub use deferred::{DeferredSparse, SkipStats};
-pub use half::Bf16EmbeddingTable;
 pub use partition::{HotColdPartition, RowClass};
 pub use quant::{dequantize, quantize_row, TieredTable};
-pub use replica::ReplicatedHotEmbedding;
 pub use sharded::ShardedEmbeddingTable;
-pub use sparse::{RowwiseAdagrad, SparseGrad};
+pub use sparse::SparseGrad;
 pub use stats::AccessCounter;
 pub use table::{EmbeddingTable, HotEmbeddingBag};

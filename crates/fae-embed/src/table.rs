@@ -63,11 +63,6 @@ impl EmbeddingTable {
         &self.weights
     }
 
-    /// Mutable weights (parameter averaging in data-parallel training).
-    pub fn weights_mut(&mut self) -> &mut Tensor {
-        &mut self.weights
-    }
-
     /// One row of the table.
     pub fn row(&self, idx: u32) -> &[f32] {
         self.weights.row(idx as usize)

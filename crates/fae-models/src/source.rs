@@ -37,10 +37,9 @@ pub trait EmbeddingSource {
 /// calibrator-pinned hot rows exact f32 and the cold majority int8
 /// (DESIGN.md §14). The row-level accessors ([`MasterEmbeddings::row`],
 /// [`MasterEmbeddings::set_row`], [`MasterEmbeddings::copy_row_into`])
-/// work in both modes; the whole-table views
-/// ([`MasterEmbeddings::tables`] / [`MasterEmbeddings::tables_mut`])
-/// require the untiered mode — they return [`TieredViewError`] in tiered
-/// mode — and are kept for the distributed paths, which do not support
+/// work in both modes; the whole-table view ([`MasterEmbeddings::tables`])
+/// requires the untiered mode — it returns [`TieredViewError`] in tiered
+/// mode — and is kept for the distributed paths, which do not support
 /// quantized masters.
 pub struct MasterEmbeddings {
     /// Untiered storage; empty when `tiered` is `Some`.
@@ -141,16 +140,6 @@ impl MasterEmbeddings {
         match self.tiered {
             Some(_) => Err(TieredViewError),
             None => Ok(&self.tables),
-        }
-    }
-
-    /// Mutable view (used by the distributed parameter paths). Returns
-    /// [`TieredViewError`] in tiered mode, like
-    /// [`MasterEmbeddings::tables`].
-    pub fn tables_mut(&mut self) -> Result<&mut [EmbeddingTable], TieredViewError> {
-        match self.tiered {
-            Some(_) => Err(TieredViewError),
-            None => Ok(&mut self.tables),
         }
     }
 
@@ -316,9 +305,8 @@ mod tests {
         let spec = WorkloadSpec::tiny_test();
         let parts = tiny_partitions(&spec);
         let mut rng = StdRng::seed_from_u64(11);
-        let mut m = MasterEmbeddings::from_spec_tiered(&spec, &parts, &mut rng);
+        let m = MasterEmbeddings::from_spec_tiered(&spec, &parts, &mut rng);
         assert_eq!(m.tables().err(), Some(TieredViewError));
-        assert_eq!(m.tables_mut().err(), Some(TieredViewError));
         assert!(TieredViewError.to_string().contains("tiered"));
         let mut r2 = StdRng::seed_from_u64(11);
         let dense = MasterEmbeddings::from_spec(&spec, &mut r2);

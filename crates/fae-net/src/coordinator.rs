@@ -153,11 +153,24 @@ impl RemoteEngine {
             ship: ShipLedger::new(workers),
             last_step: 0,
         };
+        // Initial formation collects every Hello first and welcomes the
+        // nodes in node-index order, so the membership epochs and the
+        // NodeJoin order do not depend on which worker connected first.
+        // A node that says Hello again (it timed out waiting and
+        // reconnected) replaces its earlier stream.
         let deadline = Instant::now() + initial_wait;
-        while eng.live_count() < eng.workers && Instant::now() < deadline {
-            eng.drain_joins(0);
-            if eng.live_count() < eng.workers {
+        let mut hellos: Vec<Option<TcpStream>> = (0..eng.workers).map(|_| None).collect();
+        while hellos.iter().any(Option::is_none) && Instant::now() < deadline {
+            while let Some((node, stream)) = eng.accept_hello() {
+                hellos[node] = Some(stream);
+            }
+            if hellos.iter().any(Option::is_none) {
                 std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        for (node, stream) in hellos.into_iter().enumerate() {
+            if let Some(stream) = stream {
+                eng.welcome(node, stream, 0);
             }
         }
         Ok(eng)
@@ -182,33 +195,33 @@ impl RemoteEngine {
     /// Joins are only admitted here — at a step boundary — so a crash
     /// and its rejoin can never interleave within one step's fan-out.
     fn drain_joins(&mut self, step: u64) {
+        while let Some((node, stream)) = self.accept_hello() {
+            self.welcome(node, stream, step);
+        }
+    }
+
+    /// Accepts pending connections until one says a valid Hello; returns
+    /// the node index and its stream, or `None` once nothing is pending.
+    /// Connections that fail the Hello are dropped.
+    fn accept_hello(&mut self) -> Option<(usize, TcpStream)> {
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => self.admit(stream, step),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+            let Ok((mut stream, _)) = self.listener.accept() else { return None };
+            if stream.set_nonblocking(false).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let Ok(hello) = recv_frame(&mut stream, self.cfg.read_timeout_ms) else { continue };
+            let node = hello.node as usize;
+            if matches!(hello.msg, Message::Hello) && node < self.workers {
+                return Some((node, stream));
             }
         }
     }
 
-    /// The join handshake: Hello in, Welcome (current params + hot-bag
-    /// snapshot) out, epoch bump, journal + recovery bookkeeping.
-    fn admit(&mut self, mut stream: TcpStream, step: u64) {
-        if stream.set_nonblocking(false).is_err() {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let hello = match recv_frame(&mut stream, self.cfg.read_timeout_ms) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        if !matches!(hello.msg, Message::Hello) {
-            return;
-        }
-        let node = hello.node as usize;
-        if node >= self.workers {
-            return;
-        }
+    /// The rest of the join handshake after the Hello: Welcome (current
+    /// params + hot-bag snapshot) out, epoch bump, journal + recovery
+    /// bookkeeping.
+    fn welcome(&mut self, node: usize, mut stream: TcpStream, step: u64) {
         // A Hello for a slot we still believe is live means the old
         // socket is a zombie (fast crash + restart): declare the loss
         // first so NodeLost always precedes the rejoin's NodeJoin.
@@ -223,7 +236,7 @@ impl RemoteEngine {
         let state_bytes = (dense_bytes + hot_bytes + self.partitions_json.len()) as u64;
         self.epoch += 1;
         let welcome = Frame {
-            node: hello.node,
+            node: node as u32,
             epoch: self.epoch,
             seq: self.bump_seq(),
             step,

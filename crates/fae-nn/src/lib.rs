@@ -7,7 +7,7 @@
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with the linear-algebra ops
 //!   used by MLP training (matmul, transpose, broadcast bias, Hadamard),
 //! * [`lanes`] — manually 8-wide unrolled `f32` kernels (`axpy`, `dot`,
-//!   `sum_squares`, …) shared by the matmul inner loops, the interaction
+//!   …) shared by the matmul inner loops, the interaction
 //!   head, and the sparse-embedding update path (DESIGN.md §14),
 //! * [`layers`] — differentiable layers ([`layers::Linear`],
 //!   [`layers::Relu`], [`layers::Sigmoid`]) with explicit forward/backward,
@@ -37,5 +37,5 @@ pub mod tensor;
 pub use layers::{Layer, Linear, Relu, Sigmoid};
 pub use loss::{bce_loss, bce_loss_backward, mse_loss, mse_loss_backward};
 pub use mlp::{Activation, Mlp};
-pub use optim::{Adagrad, Momentum, Sgd};
+pub use optim::Sgd;
 pub use tensor::Tensor;

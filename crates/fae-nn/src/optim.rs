@@ -80,128 +80,3 @@ mod tests {
         }
     }
 }
-
-/// SGD with classical momentum: `v = μ·v + g; p -= lr·v`.
-#[derive(Clone, Debug)]
-pub struct Momentum {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient `μ` in `[0, 1)`.
-    pub mu: f32,
-    velocity: Vec<f32>,
-}
-
-impl Momentum {
-    /// Creates a momentum optimizer for `params` trainable scalars.
-    pub fn new(lr: f32, mu: f32, params: usize) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        assert!((0.0..1.0).contains(&mu), "momentum must be in [0, 1)");
-        Self { lr, mu, velocity: vec![0.0; params] }
-    }
-
-    /// Applies one update to a flat parameter slice.
-    pub fn step_slice(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "momentum slice length mismatch");
-        assert_eq!(params.len(), self.velocity.len(), "optimizer state size mismatch");
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(self.velocity.iter_mut()) {
-            *v = self.mu * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-}
-
-/// Adagrad: `s += g²; p -= lr·g / (sqrt(s) + ε)` — the dense variant of
-/// the sparse optimizer DLRM ships with.
-#[derive(Clone, Debug)]
-pub struct Adagrad {
-    /// Learning rate.
-    pub lr: f32,
-    /// Numerical-stability floor.
-    pub eps: f32,
-    accum: Vec<f32>,
-}
-
-impl Adagrad {
-    /// Creates an Adagrad optimizer for `params` trainable scalars.
-    pub fn new(lr: f32, params: usize) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        Self { lr, eps: 1e-8, accum: vec![0.0; params] }
-    }
-
-    /// Applies one update to a flat parameter slice.
-    pub fn step_slice(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "adagrad slice length mismatch");
-        assert_eq!(params.len(), self.accum.len(), "optimizer state size mismatch");
-        for ((p, &g), s) in params.iter_mut().zip(grads).zip(self.accum.iter_mut()) {
-            *s += g * g;
-            *p -= self.lr * g / (s.sqrt() + self.eps);
-        }
-    }
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
-
-    #[test]
-    fn momentum_accelerates_along_consistent_gradient() {
-        // Under a constant gradient, momentum's effective step grows
-        // towards lr/(1-μ), so it travels farther than plain SGD.
-        let mut sgd_p = [0.0f32];
-        let mut mom_p = [0.0f32];
-        let sgd = Sgd::new(0.1);
-        let mut mom = Momentum::new(0.1, 0.9, 1);
-        for _ in 0..20 {
-            sgd.step_slice(&mut sgd_p, &[1.0]);
-            mom.step_slice(&mut mom_p, &[1.0]);
-        }
-        assert!(mom_p[0] < sgd_p[0], "momentum {} vs sgd {}", mom_p[0], sgd_p[0]);
-    }
-
-    #[test]
-    fn momentum_with_mu_zero_equals_sgd() {
-        let mut a = [3.0f32, -1.0];
-        let mut b = a;
-        Sgd::new(0.2).step_slice(&mut a, &[0.5, -0.5]);
-        Momentum::new(0.2, 0.0, 2).step_slice(&mut b, &[0.5, -0.5]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn adagrad_normalises_per_coordinate_scale() {
-        // Two coordinates with 100x different gradient magnitude move the
-        // same distance on the first step.
-        let mut p = [0.0f32, 0.0];
-        let mut ada = Adagrad::new(0.1, 2);
-        ada.step_slice(&mut p, &[100.0, 1.0]);
-        assert!((p[0] - p[1]).abs() < 1e-5, "steps differ: {p:?}");
-    }
-
-    #[test]
-    fn adagrad_step_size_decays_with_accumulation() {
-        let mut p = [0.0f32];
-        let mut ada = Adagrad::new(0.1, 1);
-        ada.step_slice(&mut p, &[1.0]);
-        let first = -p[0];
-        ada.step_slice(&mut p, &[1.0]);
-        let second = -p[0] - first;
-        assert!(second < first, "adagrad step grew: {first} then {second}");
-    }
-
-    #[test]
-    fn both_converge_on_quadratic() {
-        let target = 2.5f32;
-        let mut mp = [0.0f32];
-        let mut mom = Momentum::new(0.05, 0.9, 1);
-        let mut ap = [0.0f32];
-        let mut ada = Adagrad::new(0.5, 1);
-        for _ in 0..300 {
-            let gm = [2.0 * (mp[0] - target)];
-            mom.step_slice(&mut mp, &gm);
-            let ga = [2.0 * (ap[0] - target)];
-            ada.step_slice(&mut ap, &ga);
-        }
-        assert!((mp[0] - target).abs() < 1e-3, "momentum ended at {}", mp[0]);
-        assert!((ap[0] - target).abs() < 1e-2, "adagrad ended at {}", ap[0]);
-    }
-}

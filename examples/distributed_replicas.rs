@@ -3,30 +3,44 @@
 //! tables are replicated across all the GPU devices" and stay consistent
 //! through one all-reduce per step.
 //!
-//! Trains the same workload 1-way and 4-way data-parallel and shows the
-//! parameters agree to f32 precision, and the replicas never diverge.
+//! Trains the same workload on the parallel execution engine with 1 and
+//! 4 worker replicas and shows the parameters agree to f32 precision, and
+//! the 4 replicas never diverge from each other.
 //!
 //! ```sh
 //! cargo run --release --example distributed_replicas
 //! ```
 
-use fae::core::distributed::{full_batch, DataParallel};
+use fae::core::{AnyModel, ParallelEngine};
 use fae::data::{generate, BatchKind, GenOptions, MiniBatch, WorkloadSpec};
-use fae::models::RecModel;
+use fae::models::{evaluate, EmbeddingSource, MasterEmbeddings, RecModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// `workers` identically initialised model replicas plus the master
+/// embedding tables they train.
+fn replicate(spec: &WorkloadSpec, workers: usize, seed: u64) -> (ParallelEngine, MasterEmbeddings) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = AnyModel::from_spec(spec, &mut rng);
+    let master = MasterEmbeddings::from_spec(spec, &mut rng);
+    (ParallelEngine::from_model(model, spec, seed, workers), master)
+}
 
 fn main() {
     let spec = WorkloadSpec::tiny_test();
     let ds = generate(&spec, &GenOptions::sized(17, 2_048));
 
-    let mut single = DataParallel::replicate(&spec, 1, 99);
-    let mut quad = DataParallel::replicate(&spec, 4, 99);
+    let (mut single, mut single_emb) = replicate(&spec, 1, 99);
+    let (mut quad, mut quad_emb) = replicate(&spec, 4, 99);
 
     println!("training 1-way vs 4-way data-parallel on identical batches...");
     for step in 0..16 {
         let ids: Vec<usize> = (step * 128..(step + 1) * 128).collect();
         let mb = MiniBatch::gather(&ds, &ids, BatchKind::Unclassified);
-        let l1 = single.train_step(&mb, 0.05);
-        let l4 = quad.train_step(&mb, 0.05);
+        let (l1, g1) = single.step(&single_emb, &mb, 0.05);
+        single_emb.apply_sparse_grads(&g1, 0.05);
+        let (l4, g4) = quad.step(&quad_emb, &mb, 0.05);
+        quad_emb.apply_sparse_grads(&g4, 0.05);
         if step % 4 == 0 {
             println!(
                 "  step {step:>2}: loss 1-way {l1:.5} | 4-way {l4:.5} | replica divergence {:.1e}",
@@ -36,9 +50,9 @@ fn main() {
     }
 
     let mut p1 = Vec::new();
-    single.model(0).write_params(&mut p1);
+    single.primary_ref().write_params(&mut p1);
     let mut p4 = Vec::new();
-    quad.model(0).write_params(&mut p4);
+    quad.primary_ref().write_params(&mut p4);
     let max_diff = p1.iter().zip(&p4).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
     println!("\nmax dense-parameter difference 1-way vs 4-way: {max_diff:.2e}");
     println!("replica divergence after training: {:.1e}", quad.max_divergence());
@@ -48,17 +62,9 @@ fn main() {
     );
 
     // A final sanity batch to show predictions agree too.
-    let test = full_batch(&ds, 256);
-    use fae::models::{evaluate, MasterEmbeddings};
-    let e1 = {
-        let tables = single.embeddings(0).tables().expect("f32 master in this example");
-        let emb = MasterEmbeddings::from_tables(tables.to_vec());
-        evaluate(single.model(0), &emb, std::slice::from_ref(&test))
-    };
-    let e4 = {
-        let tables = quad.embeddings(0).tables().expect("f32 master in this example");
-        let emb = MasterEmbeddings::from_tables(tables.to_vec());
-        evaluate(quad.model(0), &emb, &[test])
-    };
+    let ids: Vec<usize> = (0..256).collect();
+    let test = MiniBatch::gather(&ds, &ids, BatchKind::Unclassified);
+    let e1 = evaluate(single.primary(), &single_emb, std::slice::from_ref(&test));
+    let e4 = evaluate(quad.primary(), &quad_emb, &[test]);
     println!("eval: 1-way loss {:.6} vs 4-way loss {:.6}", e1.loss, e4.loss);
 }
