@@ -45,3 +45,21 @@ mod tests {
         assert!(m.get(&1).unwrap().elapsed().as_secs() < 60);
     }
 }
+
+#[cfg(test)]
+pub fn naked_read(stream: &mut std::net::TcpStream, buf: &mut [u8]) {
+    let _ = stream.read_exact(buf);
+}
+
+#[cfg(all(test, unix))]
+mod unix_tests {
+    use std::time::Instant;
+
+    pub fn stamp() -> u64 {
+        Instant::now().elapsed().as_nanos() as u64
+    }
+
+    pub fn emit(t: &Telemetry) {
+        t.counter_add("Loose Metric Name", 1);
+    }
+}

@@ -24,3 +24,16 @@ pub fn pick(m: &Map) -> u64 {
     // no-panic (string-key indexing)
     m["key"]
 }
+
+#[cfg(not(test))]
+pub fn live_only(x: Option<u8>) -> u8 {
+    // no-panic (`cfg(not(test))` is live code, not a test region)
+    x.unwrap()
+}
+
+pub const WINDOWS_DIR: &[u8] = br"C:\";
+
+pub fn after_byte_raw(x: Option<u8>) -> u8 {
+    // no-panic (the byte raw string above ends at its own quote)
+    x.unwrap()
+}

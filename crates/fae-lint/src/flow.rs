@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::tokens::TokKind;
-use crate::tree::{FnItem, Items, Node, TreeView};
+use crate::tree::{find_group, flatten, FnItem, Items, Node, TreeView};
 
 /// The kinds of nondeterminism a source can introduce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,11 +154,7 @@ impl FnState {
 }
 
 /// Runs the determinism-taint pass over one file.
-///
-/// `det` selects whether sink findings are reported (the det-5 crates);
-/// summaries are computed either way so a det file calling into its own
-/// helpers still sees flows.
-pub fn det_taint_file(view: &TreeView<'_>, items: &Items, det: bool) -> Vec<TaintDiag> {
+pub fn det_taint_file(view: &TreeView<'_>, items: &Items) -> Vec<TaintDiag> {
     let mut resolve = BTreeMap::new();
     for u in &items.uses {
         resolve.insert(u.name.as_str(), u.path.as_str());
@@ -193,30 +189,13 @@ pub fn det_taint_file(view: &TreeView<'_>, items: &Items, det: bool) -> Vec<Tain
     }
 
     let mut out: BTreeMap<(usize, &'static str), TaintDiag> = BTreeMap::new();
-    if det {
-        for f in &items.fns {
-            let st = analyze_fn(&ctx, items, f);
-            for (k, d) in st.diags {
-                out.entry(k).or_insert(d);
-            }
+    for f in &items.fns {
+        let st = analyze_fn(&ctx, items, f);
+        for (k, d) in st.diags {
+            out.entry(k).or_insert(d);
         }
     }
     out.into_values().collect()
-}
-
-/// Finds the brace group whose opening token index is `open`.
-fn find_group(nodes: &[Node], open: usize) -> Option<&[Node]> {
-    for n in nodes {
-        if let Node::Group { open: o, children, .. } = n {
-            if *o == open {
-                return Some(children);
-            }
-            if let Some(found) = find_group(children, open) {
-                return Some(found);
-            }
-        }
-    }
-    None
 }
 
 fn analyze_fn(ctx: &Ctx<'_>, items: &Items, f: &FnItem) -> FnState {
@@ -236,7 +215,7 @@ fn analyze_fn(ctx: &Ctx<'_>, items: &Items, f: &FnItem) -> FnState {
     };
     // Pre-scan: bindings that get sorted anywhere in the fn cleanse
     // hash-iteration taint (fn-wide, order-insensitive approximation).
-    let flat = crate::tree::flatten(body);
+    let flat = flatten(body);
     for w in flat.windows(3) {
         if ctx.view.is_punct(w[1], b'.')
             && ctx.view.toks[w[0]].kind == TokKind::Ident
@@ -276,11 +255,7 @@ fn walk_block(
     while i < nodes.len() {
         match &nodes[i] {
             Node::Leaf(k) => {
-                let b = if view.toks[*k].kind == TokKind::Punct {
-                    view.source.as_bytes()[view.toks[*k].start]
-                } else {
-                    0
-                };
+                let b = view.punct(*k).unwrap_or(0);
                 if b == b'<' {
                     let next_shift = matches!(
                         nodes.get(i + 1),
@@ -338,11 +313,6 @@ fn walk_block(
     }
 }
 
-/// Token indices of the leaves of `nodes`, groups flattened.
-fn flat(nodes: &[Node]) -> Vec<usize> {
-    crate::tree::flatten(nodes)
-}
-
 fn process_stmt(
     ctx: &Ctx<'_>,
     items: &Items,
@@ -366,15 +336,9 @@ fn process_stmt(
     if let Some(h) = head {
         let word = if view.toks[h].kind == TokKind::Ident { view.text(h) } else { "" };
         if matches!(word, "if" | "while" | "for" | "match" | "loop" | "else" | "unsafe") {
-            let header: Vec<&Node> =
-                stmt.iter().take_while(|n| !matches!(n, Node::Group { delim: b'{', .. })).collect();
-            let header_nodes: Vec<usize> = {
-                let mut v = Vec::new();
-                for n in &header {
-                    flat_into(n, &mut v);
-                }
-                v
-            };
+            let header_len =
+                stmt.iter().take_while(|n| !matches!(n, Node::Group { delim: b'{', .. })).count();
+            let header_nodes = flatten(&stmt[..header_len]);
             let header_taint = eval_taint(ctx, st, &header_nodes, word == "for");
             // `for PAT in iter` / `if let PAT = expr`: bind pattern
             // idents from the header's taint.
@@ -395,29 +359,23 @@ fn process_stmt(
             // A tainted tail `if`/`match` expression taints the return.
             if is_tail {
                 if let Some(ev) = header_taint.or_else(|| control.cloned()) {
-                    note_return(ctx, f, &ev, st);
+                    note_return(f, &ev, st);
                 }
             }
             return;
         }
         if word == "return" {
-            let rest: Vec<usize> = {
-                let mut v = Vec::new();
-                for n in &stmt[1..] {
-                    flat_into(n, &mut v);
-                }
-                v
-            };
+            let rest = flatten(&stmt[1..]);
             if !rest.is_empty() {
                 let ev = eval_taint(ctx, st, &rest, false).or_else(|| control.cloned());
                 if let Some(ev) = ev {
-                    note_return(ctx, f, &ev, st);
+                    note_return(f, &ev, st);
                 }
             }
             return;
         }
         if word == "let" {
-            let toks = flat(stmt);
+            let toks = flatten(stmt);
             let (lhs, rhs) = split_assign(ctx, &toks);
             let binds = lhs_idents(ctx, &lhs);
             let annotated_hash = lhs.iter().any(|&k| {
@@ -453,7 +411,7 @@ fn process_stmt(
         }
     }
 
-    let toks = flat(stmt);
+    let toks = flatten(stmt);
     let (lhs, rhs) = split_assign(ctx, &toks);
     if !rhs.is_empty() && lhs != toks {
         // Assignment (plain or compound).
@@ -496,7 +454,7 @@ fn process_stmt(
             return;
         }
         if is_tail {
-            note_return(ctx, f, &ev, st);
+            note_return(f, &ev, st);
             return;
         }
         // A call through `self` or a parameter with tainted arguments
@@ -536,26 +494,12 @@ fn contains_paren_group(n: &Node) -> bool {
     }
 }
 
-fn note_return(ctx: &Ctx<'_>, f: &FnItem, ev: &SourceEvent, st: &mut FnState) {
+fn note_return(f: &FnItem, ev: &SourceEvent, st: &mut FnState) {
     if st.returns.is_none() {
         st.returns = Some(ev.clone());
     }
-    let _ = ctx;
     if f.is_pub {
         st.sink(ev, &format!("the return value of pub fn `{}`", f.name));
-    }
-}
-
-fn flat_into(n: &Node, out: &mut Vec<usize>) {
-    match n {
-        Node::Leaf(k) => out.push(*k),
-        Node::Group { open, close, children, .. } => {
-            out.push(*open);
-            for c in children {
-                flat_into(c, out);
-            }
-            out.push(*close);
-        }
     }
 }
 
@@ -567,17 +511,13 @@ fn split_assign(ctx: &Ctx<'_>, toks: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let view = ctx.view;
     let mut depth = 0i32;
     for (i, &k) in toks.iter().enumerate() {
-        let b = if view.toks[k].kind == TokKind::Punct {
-            view.source.as_bytes()[view.toks[k].start]
-        } else {
-            0
-        };
+        let b = view.punct(k).unwrap_or(0);
         match b {
             b'(' | b'[' | b'{' => depth += 1,
             b')' | b']' | b'}' => depth -= 1,
             b'=' if depth == 0 => {
-                let prev = i.checked_sub(1).map(|j| punct_byte_of(view, toks[j])).unwrap_or(0);
-                let next = toks.get(i + 1).map(|&j| punct_byte_of(view, j)).unwrap_or(0);
+                let prev = i.checked_sub(1).and_then(|j| view.punct(toks[j])).unwrap_or(0);
+                let next = toks.get(i + 1).and_then(|&j| view.punct(j)).unwrap_or(0);
                 // Adjacency matters: `==`, `!=`, `<=`, `>=`, `=>` are
                 // comparisons/arrows, not assignments.
                 let prev_adj = i > 0 && view.toks[toks[i - 1]].end == view.toks[k].start;
@@ -599,14 +539,6 @@ fn split_assign(ctx: &Ctx<'_>, toks: &[usize]) -> (Vec<usize>, Vec<usize>) {
     (toks.to_vec(), Vec::new())
 }
 
-fn punct_byte_of(view: &TreeView<'_>, k: usize) -> u8 {
-    if view.toks[k].kind == TokKind::Punct {
-        view.source.as_bytes()[view.toks[k].start]
-    } else {
-        0
-    }
-}
-
 /// The identifiers written by an assignment lhs (pattern idents for
 /// `let`, path roots for field writes). Everything after the first
 /// single `:` at paren depth 0 is a type annotation and is ignored.
@@ -615,16 +547,16 @@ fn lhs_idents(ctx: &Ctx<'_>, lhs: &[usize]) -> Vec<String> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     for (i, &k) in lhs.iter().enumerate() {
-        let b = punct_byte_of(view, k);
+        let b = view.punct(k).unwrap_or(0);
         match b {
             b'(' | b'[' | b'{' => depth += 1,
             b')' | b']' | b'}' => depth -= 1,
             b':' if depth == 0 => {
                 let next_adj = lhs.get(i + 1).is_some_and(|&j| {
-                    punct_byte_of(view, j) == b':' && view.toks[j].start == view.toks[k].end
+                    view.is_punct(j, b':') && view.toks[j].start == view.toks[k].end
                 });
                 let prev_adj = i > 0
-                    && punct_byte_of(view, lhs[i - 1]) == b':'
+                    && view.is_punct(lhs[i - 1], b':')
                     && view.toks[lhs[i - 1]].end == view.toks[k].start;
                 if !next_adj && !prev_adj {
                     break;
@@ -662,7 +594,7 @@ fn pattern_binds(ctx: &Ctx<'_>, header: &[usize], word: &str) -> Vec<String> {
                 out.push(w.to_string());
             }
         }
-        if punct_byte_of(view, k) == b'=' && word != "for" {
+        if view.is_punct(k, b'=') && word != "for" {
             break;
         }
     }
@@ -687,8 +619,8 @@ fn statement_cleanses(ctx: &Ctx<'_>, toks: &[usize], ev: &SourceEvent) -> bool {
         }
         if CLEANSE_METHODS.contains(&w) {
             // Must be a call: `.count()`, not a binding named `count`.
-            let prev_dot = i > 0 && punct_byte_of(view, toks[i - 1]) == b'.';
-            let next_paren = toks.get(i + 1).is_some_and(|&j| punct_byte_of(view, j) == b'(');
+            let prev_dot = i > 0 && view.is_punct(toks[i - 1], b'.');
+            let next_paren = toks.get(i + 1).is_some_and(|&j| view.is_punct(j, b'('));
             if prev_dot && next_paren {
                 return true;
             }
@@ -721,8 +653,8 @@ fn eval_taint(
         }
         let w = view.text(k);
         let r = ctx.resolved(w);
-        let next_colons = toks.get(i + 1).is_some_and(|&j| punct_byte_of(view, j) == b':')
-            && toks.get(i + 2).is_some_and(|&j| punct_byte_of(view, j) == b':');
+        let next_colons = toks.get(i + 1).is_some_and(|&j| view.is_punct(j, b':'))
+            && toks.get(i + 2).is_some_and(|&j| view.is_punct(j, b':'));
         let after_path = toks.get(i + 3).filter(|&&j| ident(j)).map(|&j| view.text(j));
 
         // Wall clock: `Instant::now`, `SystemTime::now`.
@@ -747,8 +679,7 @@ fn eval_taint(
             return Some(event(SourceKind::ThreadId, k, "thread::current()".to_string()));
         }
         // Raw addresses.
-        if matches!(w, "as_ptr" | "as_mut_ptr") && i > 0 && punct_byte_of(view, toks[i - 1]) == b'.'
-        {
+        if matches!(w, "as_ptr" | "as_mut_ptr") && i > 0 && view.is_punct(toks[i - 1], b'.') {
             return Some(event(SourceKind::Address, k, format!(".{w}()")));
         }
         if matches!(w, "addr_of" | "addr_of_mut") {
@@ -771,7 +702,7 @@ fn eval_taint(
             let after = if w == "self" { i + 3 } else { i + 1 };
             let method = toks
                 .get(after)
-                .filter(|&&j| punct_byte_of(view, j) == b'.')
+                .filter(|&&j| view.is_punct(j, b'.'))
                 .and_then(|_| toks.get(after + 1))
                 .filter(|&&j| ident(j))
                 .map(|&j| view.text(j));
@@ -796,7 +727,7 @@ fn eval_taint(
         if let Some(ev) = st.taint.get(w) {
             // As a *read*; skip when it is the path after `.` of another
             // ident (a field named like a tainted local is distinct).
-            let prev_dot = i > 0 && punct_byte_of(view, toks[i - 1]) == b'.';
+            let prev_dot = i > 0 && view.is_punct(toks[i - 1], b'.');
             if !prev_dot {
                 return Some(ev.clone());
             }
@@ -804,7 +735,7 @@ fn eval_taint(
 
         // Call into a same-file fn whose return carries taint.
         if let Some(ev) = ctx.returns_taint.get(w) {
-            let next_paren = toks.get(i + 1).is_some_and(|&j| punct_byte_of(view, j) == b'(');
+            let next_paren = toks.get(i + 1).is_some_and(|&j| view.is_punct(j, b'('));
             if next_paren {
                 return Some(ev.clone());
             }
@@ -821,7 +752,7 @@ mod tests {
     fn run(src: &str) -> Vec<TaintDiag> {
         let view = TreeView::new(src);
         let it = items(&view);
-        det_taint_file(&view, &it, true)
+        det_taint_file(&view, &it)
     }
 
     #[test]

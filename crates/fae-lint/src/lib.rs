@@ -30,8 +30,20 @@
 //! parse (`bad-pragma`) or suppress nothing (`unused-pragma`) are
 //! themselves violations, so stale annotations cannot accumulate.
 //!
-//! `#[cfg(test)]` items and `#[test]` functions are exempt from every
-//! rule — tests may time things, hash things and unwrap freely.
+//! Items gated by `#[test]`, `#[cfg(test)]` or `#[cfg(all(test, ..))]`
+//! are exempt from every rule — tests may time things, hash things and
+//! unwrap freely. `cfg(not(test))` and `cfg(any(test, ..))` gate live
+//! code and are linted.
+//!
+//! Each file is parsed once ([`parse`]) and every rule reads the result:
+//!
+//! * [`tokens`] — the one lexer: code tokens, comment spans, the code
+//!   view the line rules match on, and pragmas;
+//! * [`tree`] — the token tree, item extraction and test regions;
+//! * [`rules`] — the rule table and the line matchers;
+//! * [`flow`] — the per-file determinism-taint analysis;
+//! * [`passes`] — the cross-file passes (phase-balance, lock-order,
+//!   wire-compat).
 //!
 //! Run it with `cargo run -p fae-lint` from the workspace root; see
 //! DESIGN.md §11 for the rule table and the documented lexical gaps.
@@ -39,7 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -47,9 +59,7 @@ use std::path::{Path, PathBuf};
 
 pub mod flow;
 pub mod passes;
-pub mod regions;
 pub mod rules;
-pub mod scrub;
 pub mod tokens;
 pub mod tree;
 
@@ -116,8 +126,8 @@ pub struct FileClass {
 
 /// One rule hit before suppression. `offset` is the absolute byte
 /// offset of the match in the file, so `#[cfg(test)]` regions apply
-/// uniformly to lexical matches, per-file flow findings, and workspace
-/// pass findings alike.
+/// uniformly to line-rule matches, per-file flow findings, and
+/// workspace pass findings alike.
 #[derive(Debug, Clone)]
 struct Candidate {
     line: usize,
@@ -126,16 +136,27 @@ struct Candidate {
     message: String,
 }
 
-/// The per-file rule hits: lexical matchers plus (for determinism-scope
-/// files) the flow-aware determinism-taint pass.
-fn file_candidates(source: &str, scrubbed: &scrub::Scrubbed, class: FileClass) -> Vec<Candidate> {
+/// Tokenizes and tree-builds one file. This is the only place a file is
+/// parsed: the line rules, the flow analysis, the workspace passes,
+/// pragmas and test regions all read the returned [`passes::PassFile`].
+pub fn parse(rel: PathBuf, source: &str, class: FileClass) -> passes::PassFile<'_> {
+    let view = tree::TreeView::new(source);
+    let items = tree::items(&view);
+    passes::PassFile { rel, view, items, class }
+}
+
+/// The per-file rule hits: line rules over the code view plus (for
+/// determinism-scope files) the flow-aware determinism-taint pass.
+fn file_candidates(file: &passes::PassFile<'_>) -> Vec<Candidate> {
+    let (view, class) = (&file.view, file.class);
+    let code = tokens::code_view(view.source, &view.toks, &view.comments);
     let mut cands = Vec::new();
     let mut offset = 0usize;
-    // The scrubber preserves byte offsets exactly, so scrubbed and raw
-    // lines pair up one-to-one; the metric-name rule needs both (the
-    // scrubbed line to locate real call sites, the raw line to read the
-    // literal's body, which scrubbing blanks).
-    for (idx, (line, raw_line)) in scrubbed.text.lines().zip(source.lines()).enumerate() {
+    // The code view keeps every byte offset, so code and raw lines pair
+    // up one-to-one; the metric-name rule needs both (the code line to
+    // locate real call sites, the raw line to read the literal's body,
+    // which the code view blanks).
+    for (idx, (line, raw_line)) in code.lines().zip(view.source.lines()).enumerate() {
         let line_no = idx + 1;
         let mut matches = Vec::new();
         if class.deterministic {
@@ -162,52 +183,49 @@ fn file_candidates(source: &str, scrubbed: &scrub::Scrubbed, class: FileClass) -
         offset += line.len() + 1;
     }
     if class.deterministic {
-        for (line, offset, rule, message) in passes::det_taint::run(source, true) {
-            cands.push(Candidate { line, offset, rule: rule.to_string(), message });
+        for d in flow::det_taint_file(view, &file.items) {
+            cands.push(Candidate {
+                line: d.line,
+                offset: d.offset,
+                rule: d.rule.to_string(),
+                message: d.message,
+            });
         }
     }
     cands
 }
 
-/// Applies pragma and test-region suppression to `cands` and appends
-/// the pragma-hygiene diagnostics (`bad-pragma`, `unused-pragma`).
-fn finalize(
-    label: &Path,
-    source: &str,
-    scrubbed: &scrub::Scrubbed,
-    cands: Vec<Candidate>,
-) -> Vec<Diagnostic> {
-    let regions = regions::test_regions(&scrubbed.text);
+/// Lints one parsed file: its own rule hits plus the workspace-pass
+/// findings routed to it (`extra`), through pragma and test-region
+/// suppression, followed by the pragma-hygiene diagnostics
+/// (`bad-pragma`, `unused-pragma`).
+fn lint_file(file: &passes::PassFile<'_>, extra: Vec<Candidate>) -> Vec<Diagnostic> {
+    let mut cands = file_candidates(file);
+    cands.extend(extra);
+    let diag = |line: usize, rule: &str, message: String| Diagnostic {
+        file: file.rel.clone(),
+        line,
+        rule: rule.to_string(),
+        message,
+    };
+    let source = file.view.source;
+    let (pragmas, errors) = tokens::pragmas(source, &file.view.comments);
+    let regions = file.view.test_regions();
     let mut diags = Vec::new();
 
-    for e in &scrubbed.errors {
-        diags.push(Diagnostic {
-            file: label.to_path_buf(),
-            line: e.line,
-            rule: "bad-pragma".to_string(),
-            message: e.message.clone(),
-        });
+    for e in errors {
+        diags.push(diag(e.line, "bad-pragma", e.message));
     }
-    for p in &scrubbed.pragmas {
+    for p in &pragmas {
         for r in &p.rules {
             if !rules::is_known_rule(r) {
-                diags.push(Diagnostic {
-                    file: label.to_path_buf(),
-                    line: p.line,
-                    rule: "bad-pragma".to_string(),
-                    message: format!("unknown rule `{r}` in pragma"),
-                });
+                diags.push(diag(p.line, "bad-pragma", format!("unknown rule `{r}` in pragma")));
             } else if r == "float-fuse" && !p.reason.contains("DESIGN.md §14") {
                 // The unroll carve-out is a documented numeric contract;
                 // every suppression must point readers at its anchor.
-                diags.push(Diagnostic {
-                    file: label.to_path_buf(),
-                    line: p.line,
-                    rule: "bad-pragma".to_string(),
-                    message: "float-fuse pragma reason must cite the bit-identity \
-                              contract anchor `DESIGN.md §14`"
-                        .to_string(),
-                });
+                let message = "float-fuse pragma reason must cite the bit-identity \
+                               contract anchor `DESIGN.md §14`";
+                diags.push(diag(p.line, "bad-pragma", message.to_string()));
             }
         }
     }
@@ -219,41 +237,30 @@ fn finalize(
             continue;
         }
         // A pragma on this line or the line above suppresses the rule.
-        let allowed = scrubbed.pragmas.iter().enumerate().find(|(_, p)| {
+        let allowed = pragmas.iter().enumerate().find(|(_, p)| {
             (p.line == c.line || p.line + 1 == c.line) && p.rules.iter().any(|r| r == &c.rule)
         });
         if let Some((pi, _)) = allowed {
             used_pragmas.insert(pi);
             continue;
         }
-        // Lexical and flow findings can coincide (same line, same
+        // Line-rule and flow findings can coincide (same line, same
         // rule); report each (line, rule) pair once.
         if !seen.insert((c.line, c.rule.clone())) {
             continue;
         }
-        diags.push(Diagnostic {
-            file: label.to_path_buf(),
-            line: c.line,
-            rule: c.rule,
-            message: c.message,
-        });
+        diags.push(diag(c.line, &c.rule, c.message));
     }
 
-    for (pi, p) in scrubbed.pragmas.iter().enumerate() {
+    for (pi, p) in pragmas.iter().enumerate() {
         let well_formed = p.rules.iter().all(|r| rules::is_known_rule(r));
         if well_formed
             && !used_pragmas.contains(&pi)
             && !regions.contains(line_offset(source, p.line))
         {
-            diags.push(Diagnostic {
-                file: label.to_path_buf(),
-                line: p.line,
-                rule: "unused-pragma".to_string(),
-                message: format!(
-                    "pragma allows [{}] but suppresses nothing; remove it",
-                    p.rules.join(", ")
-                ),
-            });
+            let message =
+                format!("pragma allows [{}] but suppresses nothing; remove it", p.rules.join(", "));
+            diags.push(diag(p.line, "unused-pragma", message));
         }
     }
 
@@ -263,9 +270,7 @@ fn finalize(
 
 /// Lints one file's source text. `label` is used in diagnostics.
 pub fn lint_source(label: &Path, source: &str, class: FileClass) -> Vec<Diagnostic> {
-    let scrubbed = scrub::scrub(source);
-    let cands = file_candidates(source, &scrubbed, class);
-    finalize(label, source, &scrubbed, cands)
+    lint_file(&parse(label.to_path_buf(), source, class), Vec::new())
 }
 
 /// Byte offset of the start of 1-based `line` in `source`.
@@ -330,57 +335,48 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WalkError> {
     Ok(())
 }
 
+impl From<passes::PassDiag> for Candidate {
+    fn from(d: passes::PassDiag) -> Self {
+        Candidate { line: d.line, offset: d.offset, rule: d.rule.to_string(), message: d.message }
+    }
+}
+
 /// Routes workspace-pass findings into per-file candidate lists, keyed
 /// by the path the pass saw.
 fn route_pass_diags(
     pass_diags: Vec<passes::PassDiag>,
-    extra: &mut std::collections::BTreeMap<PathBuf, Vec<Candidate>>,
+    extra: &mut BTreeMap<PathBuf, Vec<Candidate>>,
 ) {
     for d in pass_diags {
-        extra.entry(d.file).or_default().push(Candidate {
-            line: d.line,
-            offset: d.offset,
-            rule: d.rule.to_string(),
-            message: d.message,
-        });
+        extra.entry(d.file.clone()).or_default().push(Candidate::from(d));
     }
 }
 
-/// Lints a set of already-read files: per-file rules first, then the
+/// Lints a set of already-read files: each is parsed once, the
 /// cross-file passes (phase-balance, lock-order, and — when `design`
-/// text is supplied — wire-compat on the wire file), with every finding
-/// funneled through the same pragma/test-region suppression.
+/// text is supplied — wire-compat on the wire file) run over the parsed
+/// set, then every file's own rules, with every finding funneled
+/// through the same pragma/test-region suppression.
 fn lint_file_set(
     files: Vec<(PathBuf, String, FileClass)>,
     design: Option<&str>,
 ) -> Vec<Diagnostic> {
-    let pass_files: Vec<passes::PassFile> = files
-        .iter()
-        .map(|(rel, source, class)| passes::PassFile {
-            rel: rel.clone(),
-            source: source.clone(),
-            class: *class,
-        })
-        .collect();
-    let mut extra: std::collections::BTreeMap<PathBuf, Vec<Candidate>> =
-        std::collections::BTreeMap::new();
-    route_pass_diags(passes::phase_balance::run(&pass_files), &mut extra);
-    route_pass_diags(passes::lock_order::run(&pass_files), &mut extra);
+    let parsed: Vec<passes::PassFile<'_>> =
+        files.iter().map(|(rel, source, class)| parse(rel.clone(), source, *class)).collect();
+    let mut extra = BTreeMap::new();
+    route_pass_diags(passes::phase_balance::run(&parsed), &mut extra);
+    route_pass_diags(passes::lock_order::run(&parsed), &mut extra);
     if let Some(design) = design {
-        if let Some(wire) = pass_files
-            .iter()
-            .find(|f| f.class.net && f.rel.file_name().is_some_and(|n| n == "wire.rs"))
+        if let Some(wire) =
+            parsed.iter().find(|f| f.class.net && f.rel.file_name().is_some_and(|n| n == "wire.rs"))
         {
             route_pass_diags(passes::wire_compat::run(wire, design), &mut extra);
         }
     }
 
     let mut diags = Vec::new();
-    for (rel, source, class) in &files {
-        let scrubbed = scrub::scrub(source);
-        let mut cands = file_candidates(source, &scrubbed, *class);
-        cands.extend(extra.remove(rel).unwrap_or_default());
-        diags.extend(finalize(rel, source, &scrubbed, cands));
+    for file in &parsed {
+        diags.extend(lint_file(file, extra.remove(&file.rel).unwrap_or_default()));
     }
     diags.sort();
     diags
@@ -452,13 +448,9 @@ pub fn lint_wire(dir: &Path) -> Result<Vec<Diagnostic>, WalkError> {
     let design = fs::read_to_string(&design_path)
         .map_err(|source| WalkError { path: design_path.clone(), source })?;
     let class = FileClass { deterministic: false, binary: false, net: true, metrics: false };
-    let wire = passes::PassFile { rel: wire_path.clone(), source: source.clone(), class };
-    let mut extra: std::collections::BTreeMap<PathBuf, Vec<Candidate>> =
-        std::collections::BTreeMap::new();
-    route_pass_diags(passes::wire_compat::run(&wire, &design), &mut extra);
-    let scrubbed = scrub::scrub(&source);
-    let cands = extra.remove(&wire_path).unwrap_or_default();
-    Ok(finalize(&wire_path, &source, &scrubbed, cands))
+    let wire = parse(wire_path, &source, class);
+    let extra = passes::wire_compat::run(&wire, &design).into_iter().map(Candidate::from).collect();
+    Ok(lint_file(&wire, extra))
 }
 
 #[cfg(test)]
@@ -492,10 +484,31 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n use std::time::Instant;\n fn t() { x.unwrap(); }\n}\n";
-        let d = lint_source(Path::new("x.rs"), src, LIB);
-        assert!(d.is_empty(), "{d:?}");
+        let exempt = [
+            "#[cfg(test)]\nmod tests {\n use std::time::Instant;\n fn t() { x.unwrap(); }\n}\n",
+            "#[test]\n#[should_panic]\nfn t() { x.unwrap() }\n",
+            "#[cfg(all(test, unix))]\nmod m { fn t() { x.unwrap() } }\n",
+            "#[cfg(test)]\nfn t(a: [u8; 2]) -> u8 { a.first().unwrap() }\n",
+        ];
+        for src in exempt {
+            let d = lint_source(Path::new("x.rs"), src, LIB);
+            assert!(d.is_empty(), "{src:?}: {d:?}");
+        }
+        // Gates that do not make an item test-only leave it live: a
+        // `testing` feature, a negated or optional `test`, `cfg_attr`.
+        // Code after a test region is live again.
+        let live = [
+            "#[cfg(feature = \"testing\")]\nmod m { fn t() { x.unwrap() } }\n",
+            "#[cfg(not(test))]\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            "#[cfg(any(test, feature = \"x\"))]\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            "#[cfg_attr(test, derive(Debug))]\npub struct S { f: u8 }\nfn g() { x.unwrap() }\n",
+            "#[cfg(test)]\nmod tests {}\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        ];
+        for src in live {
+            let d = lint_source(Path::new("x.rs"), src, LIB);
+            assert_eq!(d.len(), 1, "{src:?}: {d:?}");
+            assert_eq!(d[0].rule, "no-panic");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use super::{PassDiag, PassFile};
 use crate::tokens::TokKind;
-use crate::tree::{items, Node, TreeView};
+use crate::tree::{find_group, flatten, Node, TreeView};
 
 #[derive(Clone, Debug)]
 struct Acq {
@@ -45,14 +45,12 @@ struct Edge {
 }
 
 /// Runs the pass over the workspace file set.
-pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
+pub fn run(files: &[PassFile<'_>]) -> Vec<PassDiag> {
     // Lock classes: field name → "Struct.field". Collected workspace-
     // wide so a file using a lock declared in a sibling module resolves.
     let mut classes: BTreeMap<String, String> = BTreeMap::new();
     for f in files {
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        for field in &it.fields {
+        for field in &f.items.fields {
             let locky =
                 field.ty.split_whitespace().any(|w| w.contains("Mutex") || w.contains("RwLock"));
             if locky {
@@ -69,16 +67,15 @@ pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
     let mut out = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     for f in files {
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        for func in &it.fns {
+        let view = &f.view;
+        for func in &f.items.fns {
             if func.body == (0, 0) || func.body.0 == 0 {
                 continue;
             }
             let Some(body) = find_group(&view.nodes, func.body.0 - 1) else { continue };
             let mut held: Vec<Acq> = Vec::new();
             let mut aliases: BTreeMap<String, String> = BTreeMap::new();
-            walk(&view, f, &classes, body, &mut held, &mut aliases, &mut edges, &mut out);
+            walk(view, f, &classes, body, &mut held, &mut aliases, &mut edges, &mut out);
         }
     }
 
@@ -131,24 +128,10 @@ fn cyclic_nodes<'a>(adj: &BTreeMap<&'a str, BTreeSet<&'a str>>) -> BTreeSet<&'a 
     out
 }
 
-fn find_group(nodes: &[Node], open: usize) -> Option<&[Node]> {
-    for n in nodes {
-        if let Node::Group { open: o, children, .. } = n {
-            if *o == open {
-                return Some(children);
-            }
-            if let Some(found) = find_group(children, open) {
-                return Some(found);
-            }
-        }
-    }
-    None
-}
-
 #[allow(clippy::too_many_arguments)]
 fn walk(
     view: &TreeView<'_>,
-    f: &PassFile,
+    f: &PassFile<'_>,
     classes: &BTreeMap<String, String>,
     nodes: &[Node],
     held: &mut Vec<Acq>,
@@ -188,7 +171,7 @@ fn walk(
 #[allow(clippy::too_many_arguments)]
 fn process(
     view: &TreeView<'_>,
-    f: &PassFile,
+    f: &PassFile<'_>,
     classes: &BTreeMap<String, String>,
     stmt: &[Node],
     held: &mut Vec<Acq>,
@@ -207,7 +190,7 @@ fn process(
 
     // `drop(g)` releases a held guard.
     if head_word == "drop" {
-        let toks = crate::tree::flatten(stmt);
+        let toks = flatten(stmt);
         if let Some(&arg) = toks.get(2) {
             if view.toks[arg].kind == TokKind::Ident {
                 let name = view.text(arg);
@@ -223,7 +206,7 @@ fn process(
     for n in stmt {
         match n {
             Node::Group { delim: b'{', children, .. } if is_control => blocks.push(children),
-            other => flat_into(other, &mut header),
+            other => header.extend(flatten(std::slice::from_ref(other))),
         }
     }
 
@@ -280,8 +263,8 @@ fn process(
         if !matches!(m, "read" | "write" | "lock") {
             continue;
         }
-        let prev_dot = pos > 0 && punct_of(view, header[pos - 1]) == Some(b'.');
-        let next_paren = header.get(pos + 1).is_some_and(|&j| punct_of(view, j) == Some(b'('));
+        let prev_dot = pos > 0 && view.is_punct(header[pos - 1], b'.');
+        let next_paren = header.get(pos + 1).is_some_and(|&j| view.is_punct(j, b'('));
         if !prev_dot || !next_paren {
             continue;
         }
@@ -348,26 +331,5 @@ fn process(
     if statement_scoped {
         // Temporary/consumed guards do not outlive the statement.
         held.truncate(held_before);
-    }
-}
-
-fn flat_into(n: &Node, out: &mut Vec<usize>) {
-    match n {
-        Node::Leaf(k) => out.push(*k),
-        Node::Group { open, close, children, .. } => {
-            out.push(*open);
-            for c in children {
-                flat_into(c, out);
-            }
-            out.push(*close);
-        }
-    }
-}
-
-fn punct_of(view: &TreeView<'_>, k: usize) -> Option<u8> {
-    if view.toks[k].kind == TokKind::Punct {
-        view.source.as_bytes().get(view.toks[k].start).copied()
-    } else {
-        None
     }
 }

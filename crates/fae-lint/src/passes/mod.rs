@@ -1,18 +1,20 @@
-//! The flow-aware semantic passes (PR 10).
+//! The workspace passes: phase-balance, lock-order and wire-compat.
 //!
-//! Each pass works on parsed [`crate::tree::TreeView`]s rather than
-//! scrubbed lines. Per-file passes (determinism-taint, in
-//! [`det_taint`]) run inside `lint_source`; workspace passes
-//! (phase-balance, lock-order, wire-compat) need cross-file context and
-//! run once per lint invocation, with their findings routed through the
-//! same pragma/test-region suppression as every other rule.
+//! They need cross-file context, so they run once per lint invocation
+//! over the parsed file set, and their findings go through the same
+//! pragma/test-region suppression as every other rule. Each file is
+//! parsed once, by the caller ([`crate::parse`]); a pass reads the
+//! [`TreeView`] and [`Items`] its [`PassFile`] carries and never
+//! re-tokenizes. The per-file determinism-taint pass lives in
+//! [`crate::flow`].
 
-pub mod det_taint;
 pub mod lock_order;
 pub mod phase_balance;
 pub mod wire_compat;
 
 use std::path::PathBuf;
+
+use crate::tree::{Items, TreeView};
 
 /// A finding from a workspace pass, before pragma suppression.
 #[derive(Debug, Clone)]
@@ -29,12 +31,14 @@ pub struct PassDiag {
     pub message: String,
 }
 
-/// One source file handed to the workspace passes.
-pub struct PassFile {
+/// One parsed source file, as every rule and pass reads it.
+pub struct PassFile<'s> {
     /// Workspace-relative path.
     pub rel: PathBuf,
-    /// File contents.
-    pub source: String,
+    /// Tokens, comments and token tree over the file's source.
+    pub view: TreeView<'s>,
+    /// The items extracted from `view`.
+    pub items: Items,
     /// How the file is classified (determinism scope, net scope, ...).
     pub class: crate::FileClass,
 }

@@ -19,25 +19,18 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use super::{PassDiag, PassFile};
 use crate::tokens::TokKind;
-use crate::tree::{items, TreeView};
 
 /// Runs the pass over the workspace file set.
-pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
+pub fn run(files: &[PassFile<'_>]) -> Vec<PassDiag> {
     let mut out = Vec::new();
 
     // Locate the canonical Phase enum: the one in the file that also
     // declares `ALL`. Fixture trees without one skip the pass.
-    let mut phase_file: Option<&PassFile> = None;
+    let mut phase_file: Option<&PassFile<'_>> = None;
     let mut variants: Vec<(String, usize)> = Vec::new();
     for f in files {
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        if let Some(e) = it.enums.iter().find(|e| e.name == "Phase") {
-            let declares_all = view
-                .toks
-                .iter()
-                .enumerate()
-                .any(|(i, t)| t.kind == TokKind::Ident && view.text(i) == "ALL");
+        if let Some(e) = f.items.enums.iter().find(|e| e.name == "Phase") {
+            let declares_all = (0..f.view.toks.len()).any(|i| f.view.is_ident(i, "ALL"));
             if declares_all {
                 phase_file = Some(f);
                 variants = e.variants.clone();
@@ -47,10 +40,9 @@ pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
     }
     let Some(pf) = phase_file else { return out };
     let names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-    let view = TreeView::new(&pf.source);
 
-    check_all_const(&view, pf, &variants, &mut out);
-    check_matches(&view, pf, &variants, &mut out);
+    check_all_const(pf, &variants, &mut out);
+    check_matches(pf, &variants, &mut out);
     check_arrays(files, variants.len(), &mut out);
     check_charge_sites(files, &names, &mut out);
     out
@@ -58,12 +50,8 @@ pub fn run(files: &[PassFile]) -> Vec<PassDiag> {
 
 /// `Phase::ALL` must list every variant exactly once, and its declared
 /// length `[Phase; N]` must equal the variant count.
-fn check_all_const(
-    view: &TreeView<'_>,
-    pf: &PassFile,
-    variants: &[(String, usize)],
-    out: &mut Vec<PassDiag>,
-) {
+fn check_all_const(pf: &PassFile<'_>, variants: &[(String, usize)], out: &mut Vec<PassDiag>) {
+    let view = &pf.view;
     let toks = &view.toks;
     let mut all_entries: Vec<String> = Vec::new();
     let mut all_line = 0usize;
@@ -80,7 +68,7 @@ fn check_all_const(
             let mut depth = 0i32;
             let mut j = i + 1;
             while j < toks.len() {
-                match punct(view, j) {
+                match view.punct(j) {
                     Some(b'[') | Some(b'(') | Some(b'{') => depth += 1,
                     Some(b']') | Some(b')') | Some(b'}') => depth -= 1,
                     Some(b';') if depth == 0 => break,
@@ -97,13 +85,8 @@ fn check_all_const(
                     }
                     _ => {}
                 }
-                if toks[j].kind == TokKind::Ident
-                    && view.text(j) == "Phase"
-                    && punct(view, j + 1) == Some(b':')
-                    && punct(view, j + 2) == Some(b':')
-                    && toks.get(j + 3).is_some_and(|t| t.kind == TokKind::Ident)
-                {
-                    all_entries.push(view.text(j + 3).to_string());
+                if let Some(v) = view.path_segment(j, "Phase") {
+                    all_entries.push(v.to_string());
                     j += 4;
                     continue;
                 }
@@ -166,14 +149,9 @@ fn check_all_const(
 /// Every `match` in the Phase file with `Phase::V =>` arms must either
 /// carry a wildcard or cover all variants; `index` arm values must be a
 /// bijection onto `0..n`.
-fn check_matches(
-    view: &TreeView<'_>,
-    pf: &PassFile,
-    variants: &[(String, usize)],
-    out: &mut Vec<PassDiag>,
-) {
-    let it = items(view);
-    for f in &it.fns {
+fn check_matches(pf: &PassFile<'_>, variants: &[(String, usize)], out: &mut Vec<PassDiag>) {
+    let view = &pf.view;
+    for f in &pf.items.fns {
         if f.body == (0, 0) {
             continue;
         }
@@ -185,18 +163,13 @@ fn check_matches(
         while j < hi.min(view.toks.len()) {
             // Pattern position: `Phase :: V` followed (after optional
             // `{..}`/`(..)`) by `=>`.
-            if view.toks[j].kind == TokKind::Ident
-                && view.text(j) == "Phase"
-                && punct(view, j + 1) == Some(b':')
-                && punct(view, j + 2) == Some(b':')
-                && view.toks.get(j + 3).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                let vname = view.text(j + 3).to_string();
+            if let Some(v) = view.path_segment(j, "Phase") {
+                let vname = v.to_string();
                 let mut k = j + 4;
                 // Skip a struct/tuple sub-pattern.
                 let mut depth = 0i32;
                 while k < view.toks.len() {
-                    match punct(view, k) {
+                    match view.punct(k) {
                         Some(b'{') | Some(b'(') => depth += 1,
                         Some(b'}') | Some(b')') => {
                             if depth == 0 {
@@ -209,8 +182,8 @@ fn check_matches(
                     }
                     k += 1;
                 }
-                let is_arrow = punct(view, k) == Some(b'=')
-                    && punct(view, k + 1) == Some(b'>')
+                let is_arrow = view.punct(k) == Some(b'=')
+                    && view.punct(k + 1) == Some(b'>')
                     && view.toks.get(k + 1).is_some_and(|t| t.start == view.toks[k].end);
                 if is_arrow {
                     covered.insert(vname.clone());
@@ -229,8 +202,8 @@ fn check_matches(
             }
             if view.toks[j].kind == TokKind::Ident
                 && view.text(j) == "_"
-                && punct(view, j + 1) == Some(b'=')
-                && punct(view, j + 2) == Some(b'>')
+                && view.punct(j + 1) == Some(b'=')
+                && view.punct(j + 2) == Some(b'>')
             {
                 wildcard = true;
             }
@@ -277,14 +250,9 @@ fn check_matches(
 
 /// Phase-indexed arrays: `[f64; N]` fields of `Timeline` and
 /// `PhaseSeconds` must have `N == variant count`.
-fn check_arrays(files: &[PassFile], n_variants: usize, out: &mut Vec<PassDiag>) {
+fn check_arrays(files: &[PassFile<'_>], n_variants: usize, out: &mut Vec<PassDiag>) {
     for f in files {
-        if !f.source.contains("Timeline") && !f.source.contains("PhaseSeconds") {
-            continue;
-        }
-        let view = TreeView::new(&f.source);
-        let it = items(&view);
-        for field in &it.fields {
+        for field in &f.items.fields {
             if field.strukt != "Timeline" && field.strukt != "PhaseSeconds" {
                 continue;
             }
@@ -316,28 +284,14 @@ fn check_arrays(files: &[PassFile], n_variants: usize, out: &mut Vec<PassDiag>) 
 /// Every `.add(Phase::X, ..)` charge site in det/net files must name a
 /// declared variant (`Phase::ALL` and other UPPER_CASE associated items
 /// are not charges).
-fn check_charge_sites(files: &[PassFile], names: &BTreeSet<&str>, out: &mut Vec<PassDiag>) {
+fn check_charge_sites(files: &[PassFile<'_>], names: &BTreeSet<&str>, out: &mut Vec<PassDiag>) {
     for f in files {
         if !(f.class.deterministic || f.class.net) {
             continue;
         }
-        if !f.source.contains("Phase") {
-            continue;
-        }
-        let view = TreeView::new(&f.source);
-        let toks = &view.toks;
-        for i in 0..toks.len() {
-            if toks[i].kind != TokKind::Ident || view.text(i) != "Phase" {
-                continue;
-            }
-            if punct(&view, i + 1) != Some(b':') || punct(&view, i + 2) != Some(b':') {
-                continue;
-            }
-            let Some(t) = toks.get(i + 3) else { continue };
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let name = view.text(i + 3);
+        let view = &f.view;
+        for (i, tok) in view.toks.iter().enumerate() {
+            let Some(name) = view.path_segment(i, "Phase") else { continue };
             let is_assoc_const = name.chars().all(|c| c.is_ascii_uppercase() || c == '_');
             let is_method = name.chars().next().is_some_and(|c| c.is_ascii_lowercase());
             if is_assoc_const || is_method {
@@ -346,8 +300,8 @@ fn check_charge_sites(files: &[PassFile], names: &BTreeSet<&str>, out: &mut Vec<
             if !names.contains(name) {
                 out.push(diag(
                     f,
-                    view.line(i),
-                    toks[i].start,
+                    tok.line,
+                    tok.start,
                     &format!("`Phase::{name}` is not a declared `Phase` variant"),
                 ));
             }
@@ -355,17 +309,7 @@ fn check_charge_sites(files: &[PassFile], names: &BTreeSet<&str>, out: &mut Vec<
     }
 }
 
-fn punct(view: &TreeView<'_>, i: usize) -> Option<u8> {
-    view.toks.get(i).and_then(|t| {
-        if t.kind == TokKind::Punct {
-            view.source.as_bytes().get(t.start).copied()
-        } else {
-            None
-        }
-    })
-}
-
-fn diag(f: &PassFile, line: usize, offset: usize, message: &str) -> PassDiag {
+fn diag(f: &PassFile<'_>, line: usize, offset: usize, message: &str) -> PassDiag {
     PassDiag {
         file: f.rel.clone(),
         line,

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use super::{PassDiag, PassFile};
 use crate::tokens::TokKind;
-use crate::tree::{items, TreeView};
+use crate::tree::TreeView;
 
 /// A declared tag range from DESIGN.md §12.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,10 +48,10 @@ pub fn parse_ranges(design: &str) -> Vec<TagRange> {
 }
 
 /// Runs the pass against one wire source file and the design document.
-pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
+pub fn run(wire: &PassFile<'_>, design: &str) -> Vec<PassDiag> {
     let mut out = Vec::new();
-    let view = TreeView::new(&wire.source);
-    let it = items(&view);
+    let view = &wire.view;
+    let it = &wire.items;
     let Some(msg) = it.enums.iter().find(|e| e.name == "Message") else {
         return out;
     };
@@ -71,7 +71,7 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
         let (lo, hi) = f.body;
         match f.name.as_str() {
             "tag" => {
-                for (v, n, _line) in variant_arms(&view, lo, hi) {
+                for (v, n, _line) in variant_arms(view, lo, hi) {
                     if let Some(prev) = tag_map.insert(v.clone(), n) {
                         if prev != n {
                             out.push(diag(
@@ -84,19 +84,19 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
                 }
             }
             "name" => {
-                for v in pattern_variants(&view, lo, hi) {
+                for v in pattern_variants(view, lo, hi) {
                     name_covered.insert(v, true);
                 }
-                name_wildcard = has_wildcard_arm(&view, lo, hi);
+                name_wildcard = has_wildcard_arm(view, lo, hi);
             }
             "encode_payload" => {
-                for v in pattern_variants(&view, lo, hi) {
+                for v in pattern_variants(view, lo, hi) {
                     encode_covered.insert(v, true);
                 }
-                encode_wildcard = has_wildcard_arm(&view, lo, hi);
+                encode_wildcard = has_wildcard_arm(view, lo, hi);
             }
             "decode_payload" | "decode" => {
-                for (n, v) in decode_arms(&view, lo, hi) {
+                for (n, v) in decode_arms(view, lo, hi) {
                     decode_map.entry(n).or_insert(v);
                 }
             }
@@ -204,22 +204,12 @@ pub fn run(wire: &PassFile, design: &str) -> Vec<PassDiag> {
     out
 }
 
-fn punct(view: &TreeView<'_>, i: usize) -> Option<u8> {
-    view.toks.get(i).and_then(|t| {
-        if t.kind == TokKind::Punct {
-            view.source.as_bytes().get(t.start).copied()
-        } else {
-            None
-        }
-    })
-}
-
 /// After a `Message :: V` at `j`, returns the token index past any
 /// `{..}`/`(..)` sub-pattern.
 fn skip_subpattern(view: &TreeView<'_>, mut k: usize) -> usize {
     let mut depth = 0i32;
     while k < view.toks.len() {
-        match punct(view, k) {
+        match view.punct(k) {
             Some(b'{') | Some(b'(') => depth += 1,
             Some(b'}') | Some(b')') => {
                 if depth == 0 {
@@ -246,7 +236,7 @@ fn variant_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(String, u64, 
     while j < hi {
         if let Some((v, k)) = message_variant_at(view, j) {
             let k = skip_subpattern(view, k);
-            if punct(view, k) == Some(b'=') && punct(view, k + 1) == Some(b'>') {
+            if view.punct(k) == Some(b'=') && view.punct(k + 1) == Some(b'>') {
                 if let Some(t) = view.toks.get(k + 2) {
                     if t.kind == TokKind::Num {
                         if let Ok(n) = view.text(k + 2).parse::<u64>() {
@@ -272,9 +262,9 @@ fn pattern_variants(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<String> {
     while j < hi {
         if let Some((v, k)) = message_variant_at(view, j) {
             let k = skip_subpattern(view, k);
-            let next = punct(view, k);
-            let is_arrow = next == Some(b'=') && punct(view, k + 1) == Some(b'>');
-            let is_or = next == Some(b'|') && punct(view, k + 1) != Some(b'|');
+            let next = view.punct(k);
+            let is_arrow = next == Some(b'=') && view.punct(k + 1) == Some(b'>');
+            let is_or = next == Some(b'|') && view.punct(k + 1) != Some(b'|');
             if is_arrow || is_or {
                 out.push(v);
             }
@@ -294,8 +284,8 @@ fn decode_arms(view: &TreeView<'_>, lo: usize, hi: usize) -> Vec<(u64, String)> 
     let hi = hi.min(view.toks.len());
     while j < hi {
         if view.toks[j].kind == TokKind::Num
-            && punct(view, j + 1) == Some(b'=')
-            && punct(view, j + 2) == Some(b'>')
+            && view.punct(j + 1) == Some(b'=')
+            && view.punct(j + 2) == Some(b'>')
         {
             if let Ok(n) = view.text(j).parse::<u64>() {
                 current = Some(n);
@@ -320,8 +310,8 @@ fn has_wildcard_arm(view: &TreeView<'_>, lo: usize, hi: usize) -> bool {
     let hi = hi.min(view.toks.len());
     for j in lo..hi {
         if view.toks[j].kind == TokKind::Ident
-            && punct(view, j + 1) == Some(b'=')
-            && punct(view, j + 2) == Some(b'>')
+            && view.punct(j + 1) == Some(b'=')
+            && view.punct(j + 2) == Some(b'>')
         {
             let w = view.text(j);
             let lowercase = w == "_" || w.chars().next().is_some_and(|c| c.is_ascii_lowercase());
@@ -331,7 +321,7 @@ fn has_wildcard_arm(view: &TreeView<'_>, lo: usize, hi: usize) -> bool {
             // distinguish by what came before: a `}`/`)` means the arm
             // had a pattern already.
             let prev_ok = j == lo
-                || matches!(punct(view, j - 1), Some(b',') | Some(b'{'))
+                || matches!(view.punct(j - 1), Some(b',') | Some(b'{'))
                     && !prev_is_subpattern(view, lo, j);
             if lowercase && prev_ok {
                 return true;
@@ -349,7 +339,7 @@ fn prev_is_subpattern(view: &TreeView<'_>, lo: usize, j: usize) -> bool {
     let mut k = j;
     while k > lo {
         k -= 1;
-        match punct(view, k) {
+        match view.punct(k) {
             Some(b'}') => depth += 1,
             Some(b'{') => {
                 if depth == 0 {
@@ -367,19 +357,10 @@ fn prev_is_subpattern(view: &TreeView<'_>, lo: usize, j: usize) -> bool {
 /// `Message :: V` starting at `j`; returns the variant and the index
 /// past it.
 fn message_variant_at(view: &TreeView<'_>, j: usize) -> Option<(String, usize)> {
-    if view.toks[j].kind == TokKind::Ident
-        && view.text(j) == "Message"
-        && punct(view, j + 1) == Some(b':')
-        && punct(view, j + 2) == Some(b':')
-        && view.toks.get(j + 3).is_some_and(|t| t.kind == TokKind::Ident)
-    {
-        Some((view.text(j + 3).to_string(), j + 4))
-    } else {
-        None
-    }
+    view.path_segment(j, "Message").map(|v| (v.to_string(), j + 4))
 }
 
-fn diag(f: &PassFile, line: usize, message: &str) -> PassDiag {
+fn diag(f: &PassFile<'_>, line: usize, message: &str) -> PassDiag {
     PassDiag {
         file: f.rel.clone(),
         line,

@@ -1,5 +1,7 @@
-//! The lint rules: what is forbidden where, and the lexical matchers
-//! that find violations in scrubbed source text.
+//! The lint rules: what is forbidden where, and the line matchers that
+//! find violations in one line of a file's code view
+//! ([`crate::tokens::code_view`]: comments and literal bodies blanked,
+//! offsets kept).
 //!
 //! These are lexical approximations, not type-checked analyses — the
 //! trade-off is zero dependencies and sub-second whole-workspace runs.
@@ -144,55 +146,17 @@ fn token_positions(hay: &str, needle: &str) -> Vec<usize> {
     out
 }
 
-/// Runs the lexical determinism rules over one scrubbed line.
+/// Runs the lexical determinism rules over one code-view line.
 ///
-/// Since the flow-aware analyzer landed, the only *lexical* determinism
-/// rule left is `timeline-phase` (a purely local shape check). The old
-/// mention-based wall-clock/ambient-rng/hash-container matchers were
-/// retired in favour of the taint pass ([`crate::flow`]), which flags
-/// flows into digest-affecting state instead of every mention; the v1
-/// matchers survive as [`legacy_det_matches`] so tests can demonstrate
-/// how many pragmas the upgrade retired.
+/// The only *lexical* determinism rule is `timeline-phase` (a purely
+/// local shape check). `wall-clock`, `ambient-rng` and `hash-container`
+/// are flow-aware ([`crate::flow`]): they flag flows into
+/// digest-affecting state, not every mention.
 pub fn deterministic_matches(line: &str, out: &mut Vec<Match>) {
     timeline_matches(line, out);
 }
 
-/// The retired PR-5 lexical matchers: every *mention* of a wall-clock
-/// type, ambient-RNG constructor or hash container fired, forcing a
-/// pragma on each innocent lookup table. Kept (not wired into any lint
-/// path) so the pragma-retirement test can count how many suppressions
-/// the flow-aware pass made unnecessary.
-pub fn legacy_det_matches(line: &str, out: &mut Vec<Match>) {
-    for tok in ["Instant", "SystemTime"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "wall-clock",
-                message: format!("`{tok}` mentioned (legacy lexical rule)"),
-            });
-        }
-    }
-    for tok in ["thread_rng", "from_entropy", "OsRng", "rand::random"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "ambient-rng",
-                message: format!("`{tok}` mentioned (legacy lexical rule)"),
-            });
-        }
-    }
-    for tok in ["HashMap", "HashSet"] {
-        for col in token_positions(line, tok) {
-            out.push(Match {
-                col,
-                rule: "hash-container",
-                message: format!("`{tok}` mentioned (legacy lexical rule)"),
-            });
-        }
-    }
-}
-
-/// Runs the no-panic rule over one scrubbed line.
+/// Runs the no-panic rule over one code-view line.
 pub fn no_panic_matches(line: &str, out: &mut Vec<Match>) {
     for (tok, what) in [
         (".unwrap()", "`.unwrap()` panics on the error path"),
@@ -211,7 +175,7 @@ pub fn no_panic_matches(line: &str, out: &mut Vec<Match>) {
         }
     }
     // Indexing a map with a string-literal key: `m["k"]` panics on a
-    // missing entry. After scrubbing, literal bodies are blank but the
+    // missing entry. In the code view literal bodies are blank but the
     // quotes survive, so the `["` shape is still visible.
     let lb = line.as_bytes();
     for col in token_positions(line, "[\"") {
@@ -227,7 +191,7 @@ pub fn no_panic_matches(line: &str, out: &mut Vec<Match>) {
     }
 }
 
-/// Runs the net-deadline rule over one scrubbed line: blocking socket
+/// Runs the net-deadline rule over one code-view line: blocking socket
 /// calls, and explicit deadline removal, are flagged. One hung peer must
 /// never be able to stall the coordinator or a worker forever, so every
 /// read/write/connect goes through the deadline helpers
@@ -272,10 +236,10 @@ pub fn net_deadline_matches(line: &str, out: &mut Vec<Match>) {
 }
 
 /// Runs the metric-name rule over one line. Call sites are located on
-/// the *scrubbed* line (so names quoted in comments or strings never
+/// the *code-view* line (so names quoted in comments or strings never
 /// fire), but the literal's body is blanked there — the name itself is
 /// read back out of the *raw* line at the same byte offsets, which the
-/// scrubber guarantees to preserve.
+/// code view keeps.
 ///
 /// The contract: a name passed to `counter_add`/`gauge_set`/`observe`
 /// becomes a Prometheus series `fae_<name>` with every non-alphanumeric
@@ -323,7 +287,7 @@ pub fn metric_name_matches(line: &str, raw: &str, out: &mut Vec<Match>) {
     }
 }
 
-/// Runs the float-fuse rule over one scrubbed line: every fixed-width
+/// Runs the float-fuse rule over one code-view line: every fixed-width
 /// 8-lane f32 unroll site (`.chunks_exact(8)` / `.chunks_exact_mut(8)`,
 /// the shape all `fae_nn::lanes` kernels share) must carry a pragma
 /// stating which side of the bit-identity contract it is on —
@@ -425,25 +389,11 @@ mod tests {
 
     #[test]
     fn lexical_det_rule_is_timeline_only_now() {
-        // The mention-based matchers moved to `legacy_det_matches`; the
-        // live lexical path must no longer fire on mere mentions.
+        // Mentions alone never fire: the clock/RNG/hash rules are
+        // flow-aware and live in the taint pass.
         assert!(det("let t = Instant::now();").is_empty());
         assert!(det("let m: HashMap<u32, f32> = HashMap::new();").is_empty());
         assert!(det("let x = instant_rate;").is_empty());
-    }
-
-    #[test]
-    fn legacy_matchers_still_count_mentions() {
-        let legacy = |line: &str| {
-            let mut m = Vec::new();
-            legacy_det_matches(line, &mut m);
-            m.into_iter().map(|x| x.rule).collect::<Vec<_>>()
-        };
-        assert_eq!(legacy("let t = Instant::now();"), vec!["wall-clock"]);
-        assert_eq!(legacy("use std::time::SystemTime;"), vec!["wall-clock"]);
-        assert_eq!(legacy("let mut r = thread_rng();"), vec!["ambient-rng"]);
-        assert_eq!(legacy("let m: HashMap<u32, f32> = HashMap::new();").len(), 2);
-        assert!(legacy("let x = instant_rate;").is_empty());
     }
 
     #[test]
@@ -480,12 +430,13 @@ mod tests {
 
     #[test]
     fn metric_name_hits_and_misses() {
-        // The matcher sees the scrubbed line (literal bodies blanked,
-        // quotes kept) plus the raw line; build both the way scrub does.
+        // The matcher sees the code-view line (literal bodies blanked,
+        // quotes kept) plus the raw line.
         let check = |raw: &str| {
-            let scrubbed = crate::scrub::scrub(raw);
+            let lexed = crate::tokens::tokenize(raw);
+            let code = crate::tokens::code_view(raw, &lexed.toks, &lexed.comments);
             let mut m = Vec::new();
-            metric_name_matches(scrubbed.text.lines().next().unwrap_or(""), raw, &mut m);
+            metric_name_matches(&code, raw, &mut m);
             m.len()
         };
         assert_eq!(check("t.counter_add(\"train.steps_hot\", 1);"), 0);
@@ -497,7 +448,7 @@ mod tests {
         // Numeric observe (a histogram value, not a telemetry name).
         assert_eq!(check("window.observe(loss);"), 0);
         // Names quoted in comments never fire: the site is located on
-        // the scrubbed line, where comments are blank.
+        // the code-view line, where comments are blank.
         assert_eq!(check("let x = 1; // call t.counter_add(\"Bad Name\", 1)"), 0);
         // Violations: uppercase, spaces, dashes, separators misused.
         assert_eq!(check("t.counter_add(\"Train.Steps\", 1);"), 1);

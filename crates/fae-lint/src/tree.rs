@@ -42,13 +42,15 @@ fn closer_for(open: u8) -> u8 {
     }
 }
 
-/// A resolved view over tokens + source, with the helpers every pass
-/// shares.
+/// One parsed file: source, tokens, comment spans and token tree, with
+/// the helpers every pass shares.
 pub struct TreeView<'s> {
     /// The raw source text.
     pub source: &'s str,
-    /// The token stream.
+    /// The code token stream.
     pub toks: Vec<Tok>,
+    /// Comment spans (see [`crate::tokens::Lexed::comments`]).
+    pub comments: Vec<Tok>,
     /// The token tree over `toks`.
     pub nodes: Vec<Node>,
 }
@@ -56,9 +58,10 @@ pub struct TreeView<'s> {
 impl<'s> TreeView<'s> {
     /// Tokenizes and tree-builds `source`.
     pub fn new(source: &'s str) -> Self {
-        let toks = crate::tokens::tokenize(source);
-        let nodes = build_with_src(&toks, source);
-        TreeView { source, toks, nodes }
+        let crate::tokens::Lexed { toks, comments } = crate::tokens::tokenize(source);
+        let mut view = TreeView { source, toks, comments, nodes: Vec::new() };
+        view.nodes = view.build(&mut 0, None);
+        view
     }
 
     /// Text of token `i`.
@@ -76,52 +79,149 @@ impl<'s> TreeView<'s> {
         self.toks[i].kind == TokKind::Ident && self.text(i) == word
     }
 
+    /// The punctuation byte of token `i`; `None` when `i` is past the
+    /// end or the token is not punctuation.
+    pub fn punct(&self, i: usize) -> Option<u8> {
+        let t = self.toks.get(i)?;
+        (t.kind == TokKind::Punct).then(|| self.source.as_bytes()[t.start])
+    }
+
     /// True when token `i` is the punctuation byte `b`.
     pub fn is_punct(&self, i: usize, b: u8) -> bool {
-        self.toks[i].kind == TokKind::Punct && self.source.as_bytes()[self.toks[i].start] == b
+        self.punct(i) == Some(b)
     }
-}
 
-/// Tree build that classifies delimiters from the source text (the
-/// token itself stores only spans).
-fn build_with_src(toks: &[Tok], source: &str) -> Vec<Node> {
-    let mut pos = 0usize;
-    build_until_src(toks, source, &mut pos, None)
-}
-
-fn src_punct(toks: &[Tok], source: &str, i: usize) -> Option<u8> {
-    let t = &toks[i];
-    if t.kind == TokKind::Punct {
-        source.as_bytes().get(t.start).copied()
-    } else {
-        None
+    /// The `name` of a path `head :: name` starting at token `i`.
+    pub fn path_segment(&self, i: usize, head: &str) -> Option<&'s str> {
+        let path = self.is_ident(i, head)
+            && self.is_punct(i + 1, b':')
+            && self.is_punct(i + 2, b':')
+            && self.toks.get(i + 3)?.kind == TokKind::Ident;
+        path.then(|| self.text(i + 3))
     }
-}
 
-fn build_until_src(toks: &[Tok], source: &str, pos: &mut usize, until: Option<u8>) -> Vec<Node> {
-    let mut out = Vec::new();
-    while *pos < toks.len() {
-        let byte = src_punct(toks, source, *pos);
-        if let Some(b) = byte {
-            if Some(b) == until {
-                return out;
-            }
-            if b == b'(' || b == b'[' || b == b'{' {
-                let open = *pos;
-                *pos += 1;
-                let children = build_until_src(toks, source, pos, Some(closer_for(b)));
-                let close = (*pos).min(toks.len().saturating_sub(1));
-                out.push(Node::Group { delim: b, open, close, children });
-                if *pos < toks.len() {
-                    *pos += 1;
+    fn build(&self, pos: &mut usize, until: Option<u8>) -> Vec<Node> {
+        let mut out = Vec::new();
+        while *pos < self.toks.len() {
+            if let Some(b) = self.punct(*pos) {
+                if Some(b) == until {
+                    return out;
                 }
-                continue;
+                if b == b'(' || b == b'[' || b == b'{' {
+                    let open = *pos;
+                    *pos += 1;
+                    let children = self.build(pos, Some(closer_for(b)));
+                    let close = (*pos).min(self.toks.len().saturating_sub(1));
+                    out.push(Node::Group { delim: b, open, close, children });
+                    if *pos < self.toks.len() {
+                        *pos += 1;
+                    }
+                    continue;
+                }
+            }
+            out.push(Node::Leaf(*pos));
+            *pos += 1;
+        }
+        out
+    }
+
+    /// The test-only regions of the file: every item carrying `#[test]`,
+    /// `#[cfg(test)]` or `#[cfg(all(.., test, ..))]` (possibly among
+    /// further attributes), from its `#` through the end of its `{}`
+    /// body or its `;`. `cfg(not(test))`, `cfg(any(test, ..))` and
+    /// `cfg_attr(test, ..)` gate live code and do not count.
+    pub fn test_regions(&self) -> TestRegions {
+        let mut out = TestRegions::default();
+        self.collect_test_regions(&self.nodes, &mut out.0);
+        out
+    }
+
+    fn collect_test_regions(&self, nodes: &[Node], out: &mut Vec<(usize, usize)>) {
+        let mut i = 0usize;
+        while i < nodes.len() {
+            let gate = self.attr_at(nodes, i).filter(|&(_, attr)| self.is_test_gate(attr));
+            if let Some((hash, _)) = gate {
+                let mut j = i + 2;
+                while self.attr_at(nodes, j).is_some() {
+                    j += 2;
+                }
+                let end = nodes[j..].iter().position(|n| match n {
+                    Node::Group { delim, .. } => *delim == b'{',
+                    Node::Leaf(k) => self.is_punct(*k, b';'),
+                });
+                if let Some(e) = end {
+                    let (Node::Leaf(last) | Node::Group { close: last, .. }) = &nodes[j + e];
+                    out.push((self.toks[hash].start, self.toks[*last].end));
+                    i = j + e + 1;
+                    continue;
+                }
+            }
+            if let Node::Group { children, .. } = &nodes[i] {
+                self.collect_test_regions(children, out);
+            }
+            i += 1;
+        }
+    }
+
+    /// The `#` token and the bracket contents of an attribute `#[...]`
+    /// starting at `nodes[i]`.
+    fn attr_at<'n>(&self, nodes: &'n [Node], i: usize) -> Option<(usize, &'n [Node])> {
+        match (nodes.get(i)?, nodes.get(i + 1)?) {
+            (Node::Leaf(h), Node::Group { delim: b'[', children, .. })
+                if self.is_punct(*h, b'#') =>
+            {
+                Some((*h, children))
+            }
+            _ => None,
+        }
+    }
+
+    /// `test`, `cfg(test)`, or `cfg(all(..))` with `test` as a direct
+    /// argument.
+    fn is_test_gate(&self, attr: &[Node]) -> bool {
+        let word = |n: &Node, w: &str| matches!(n, Node::Leaf(k) if self.is_ident(*k, w));
+        match attr {
+            [t] => word(t, "test"),
+            [cfg, Node::Group { delim: b'(', children, .. }] if word(cfg, "cfg") => {
+                match children.as_slice() {
+                    [t] => word(t, "test"),
+                    [all, Node::Group { delim: b'(', children: args, .. }] if word(all, "all") => {
+                        args.iter().any(|a| word(a, "test"))
+                    }
+                    _ => false,
+                }
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Half-open byte ranges `[start, end)` of test-only code, which every
+/// rule exempts.
+#[derive(Debug, Default)]
+pub struct TestRegions(Vec<(usize, usize)>);
+
+impl TestRegions {
+    /// True when byte offset `pos` lies inside a test-only region.
+    pub fn contains(&self, pos: usize) -> bool {
+        self.0.iter().any(|&(s, e)| pos >= s && pos < e)
+    }
+}
+
+/// The children of the group whose opening token index is `open`,
+/// searched depth-first through `nodes`.
+pub fn find_group(nodes: &[Node], open: usize) -> Option<&[Node]> {
+    for n in nodes {
+        if let Node::Group { open: o, children, .. } = n {
+            if *o == open {
+                return Some(children);
+            }
+            if let Some(found) = find_group(children, open) {
+                return Some(found);
             }
         }
-        out.push(Node::Leaf(*pos));
-        *pos += 1;
     }
-    out
+    None
 }
 
 /// A function found in the tree.
@@ -582,26 +682,14 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
         while i < n {
             match &children[i] {
                 Node::Leaf(k) => {
-                    if view.is_punct(*k, b'#') {
-                        i += 1; // `[`-group skipped below
-                    } else if view.is_ident(*k, "pub") {
-                        i += 1;
-                    } else if view.toks[*k].kind == TokKind::Ident {
+                    i += 1;
+                    if view.toks[*k].kind == TokKind::Ident && !view.is_ident(*k, "pub") {
                         field = Some((view.text(*k).to_string(), view.line(*k)));
-                        i += 1;
                         break;
-                    } else {
-                        i += 1;
                     }
                 }
-                Node::Group { delim, .. } => {
-                    if *delim == b'(' {
-                        // pub(crate) visibility group
-                        i += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
+                // `pub(crate)` and attribute groups.
+                Node::Group { .. } => i += 1,
             }
         }
         let Some((fname, fline)) = field else { break };
@@ -609,38 +697,13 @@ fn scan_fields_braced(view: &TreeView<'_>, children: &[Node], strukt: &str, out:
         let mut ty = String::new();
         let mut saw_colon = false;
         while i < n {
-            match &children[i] {
-                Node::Leaf(k) => {
-                    if view.is_punct(*k, b',') {
-                        i += 1;
-                        break;
-                    }
-                    if view.is_punct(*k, b':') && !saw_colon {
-                        saw_colon = true;
-                    } else if saw_colon {
-                        if !ty.is_empty() {
-                            ty.push(' ');
-                        }
-                        ty.push_str(view.text(*k));
-                    }
-                    i += 1;
-                }
-                Node::Group { children: gc, delim, .. } => {
-                    if saw_colon {
-                        let inner = flatten(gc);
-                        if !ty.is_empty() {
-                            ty.push(' ');
-                        }
-                        ty.push(*delim as char);
-                        for &k in &inner {
-                            ty.push(' ');
-                            ty.push_str(view.text(k));
-                        }
-                        ty.push(' ');
-                        ty.push(closer_for(*delim) as char);
-                    }
-                    i += 1;
-                }
+            let node = &children[i];
+            i += 1;
+            match node {
+                Node::Leaf(k) if view.is_punct(*k, b',') => break,
+                Node::Leaf(k) if view.is_punct(*k, b':') && !saw_colon => saw_colon = true,
+                _ if saw_colon => push_type_text(view, node, &mut ty),
+                _ => {}
             }
         }
         if saw_colon {
@@ -660,47 +723,43 @@ fn scan_fields_tuple(view: &TreeView<'_>, children: &[Node], strukt: &str, out: 
     let mut line = 0usize;
     let mut n_field = 0usize;
     let flush = |ty: &mut String, line: usize, n_field: &mut usize, out: &mut Items| {
-        if !ty.trim().is_empty() {
+        if !ty.is_empty() {
             out.fields.push(FieldItem {
                 strukt: strukt.to_string(),
                 field: n_field.to_string(),
-                ty: ty.trim().to_string(),
+                ty: std::mem::take(ty),
                 line,
             });
             *n_field += 1;
         }
-        ty.clear();
     };
     for c in children {
-        match c {
-            Node::Leaf(k) => {
-                if line == 0 {
-                    line = view.line(*k);
-                }
-                if view.is_punct(*k, b',') {
-                    flush(&mut ty, line, &mut n_field, out);
-                    continue;
-                }
-                if view.is_ident(*k, "pub") {
-                    continue;
-                }
-                ty.push(' ');
-                ty.push_str(view.text(*k));
+        if let Node::Leaf(k) = c {
+            if line == 0 {
+                line = view.line(*k);
             }
-            Node::Group { children: gc, delim, .. } => {
-                let inner = flatten(gc);
-                ty.push(' ');
-                ty.push(*delim as char);
-                for &k in &inner {
-                    ty.push(' ');
-                    ty.push_str(view.text(k));
-                }
-                ty.push(' ');
-                ty.push(closer_for(*delim) as char);
+            if view.is_punct(*k, b',') {
+                flush(&mut ty, line, &mut n_field, out);
+                continue;
+            }
+            if view.is_ident(*k, "pub") {
+                continue;
             }
         }
+        push_type_text(view, c, &mut ty);
     }
     flush(&mut ty, line, &mut n_field, out);
+}
+
+/// Appends the tokens under `node`, delimiters included, to a flattened
+/// type string (tokens joined by one space).
+fn push_type_text(view: &TreeView<'_>, node: &Node, ty: &mut String) {
+    for k in flatten(std::slice::from_ref(node)) {
+        if !ty.is_empty() {
+            ty.push(' ');
+        }
+        ty.push_str(view.text(k));
+    }
 }
 
 #[cfg(test)]

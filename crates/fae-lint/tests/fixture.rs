@@ -5,6 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
+use fae_lint::tree::TreeView;
 use fae_lint::{lint_tree, FileClass};
 
 const STRICT: FileClass =
@@ -43,6 +44,8 @@ fn seeded_violations_are_all_caught() {
         ("panics.rs", 15, "no-panic"),
         ("panics.rs", 20, "no-panic"),
         ("panics.rs", 25, "no-panic"),
+        ("panics.rs", 31, "no-panic"),
+        ("panics.rs", 38, "no-panic"),
         ("pragmas.rs", 5, "unused-pragma"),
         ("pragmas.rs", 10, "bad-pragma"),
         ("pragmas.rs", 15, "bad-pragma"),
@@ -201,7 +204,7 @@ fn wire_fixture_pins() {
     let dir = fixture("wire/bad");
     let source = std::fs::read_to_string(dir.join("wire.rs")).expect("wire fixture readable");
     let design = std::fs::read_to_string(dir.join("design.md")).expect("design fixture readable");
-    let wire = fae_lint::passes::PassFile { rel: PathBuf::from("wire.rs"), source, class: NET };
+    let wire = fae_lint::parse(PathBuf::from("wire.rs"), &source, NET);
     let mut got: Vec<(usize, String)> = fae_lint::passes::wire_compat::run(&wire, &design)
         .into_iter()
         .map(|d| (d.line, d.message))
@@ -233,13 +236,13 @@ fn wire_fixture_pins() {
 
 #[test]
 fn flow_analysis_retires_legacy_lexical_pragmas() {
-    // PR 5's mention-based matchers fired on every `HashMap` token, so
-    // each of the converted lookup-only maps (trainer cost caches,
-    // serve frequency table, overlap scheduler state) would have
-    // needed a pragma. Count what the retired matchers would demand on
-    // exactly those files — outside test regions — and require the
-    // flow-aware lint to accept the same files pragma-free. That
-    // difference is the "retires ≥5 pragmas" acceptance criterion.
+    // The retired mention-based rule fired on every `HashMap`/`HashSet`
+    // identifier, so each of the converted lookup-only maps (trainer
+    // cost caches, serve frequency table, overlap scheduler state) would
+    // have needed a pragma. Count those mentions on exactly these files
+    // — outside test regions — and require the flow-aware lint to accept
+    // the same files pragma-free. That difference is the "retires ≥5
+    // pragmas" acceptance criterion.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().and_then(Path::parent);
     let root = root.expect("workspace root above crates/fae-lint");
     let converted = [
@@ -247,21 +250,15 @@ fn flow_analysis_retires_legacy_lexical_pragmas() {
         "crates/fae-serve/src/cache.rs",
         "crates/fae-sysmodel/src/overlap.rs",
     ];
-    let mut legacy_hash_hits = 0usize;
+    let mut hash_mentions = 0usize;
     for rel in converted {
         let source = std::fs::read_to_string(root.join(rel)).expect("converted file readable");
-        let scrubbed = fae_lint::scrub::scrub(&source);
-        let regions = fae_lint::regions::test_regions(&scrubbed.text);
-        let mut offset = 0usize;
-        for line in scrubbed.text.lines() {
-            let mut matches = Vec::new();
-            fae_lint::rules::legacy_det_matches(line, &mut matches);
-            legacy_hash_hits += matches
-                .iter()
-                .filter(|m| m.rule == "hash-container" && !regions.contains(offset + m.col))
-                .count();
-            offset += line.len() + 1;
-        }
+        let view = TreeView::new(&source);
+        let regions = view.test_regions();
+        hash_mentions += (0..view.toks.len())
+            .filter(|&i| view.is_ident(i, "HashMap") || view.is_ident(i, "HashSet"))
+            .filter(|&i| !regions.contains(view.toks[i].start))
+            .count();
 
         let class = fae_lint::classify(Path::new(rel)).expect("converted file is linted");
         assert!(class.deterministic, "{rel} must be in the det scope for this to mean anything");
@@ -270,14 +267,15 @@ fn flow_analysis_retires_legacy_lexical_pragmas() {
             diags.iter().all(|d| d.rule != "hash-container"),
             "flow-aware lint should accept the lookup-only maps in {rel}: {diags:?}"
         );
+        let (pragmas, _) = fae_lint::tokens::pragmas(&source, &view.comments);
         assert!(
-            !scrubbed.pragmas.iter().any(|p| p.rules.iter().any(|r| r == "hash-container")),
+            !pragmas.iter().any(|p| p.rules.iter().any(|r| r == "hash-container")),
             "{rel} must need no hash-container pragmas under the flow-aware lint"
         );
     }
     assert!(
-        legacy_hash_hits >= 5,
-        "expected the legacy matchers to have demanded >= 5 suppressions, got {legacy_hash_hits}"
+        hash_mentions >= 5,
+        "expected the mention-based rule to have demanded >= 5 suppressions, got {hash_mentions}"
     );
 }
 

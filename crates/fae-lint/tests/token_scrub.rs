@@ -1,18 +1,18 @@
-//! Property test pinning the agreement between the raw-source tokenizer
-//! (`fae_lint::tokens`) and the scrubber (`fae_lint::scrub`).
+//! Property tests for the one lexer (`fae_lint::tokens`): on arbitrary
+//! interleavings of the tricky fragments below, the token stream, the
+//! comment spans and the code view the line rules read must describe
+//! the same file.
 //!
-//! The two modules re-implement the same comment/string/char/lifetime
-//! scanning rules independently — the scrubber blanks what the
-//! tokenizer skips. If they ever drift (say, one treats `'a'` inside a
-//! generic as a char literal and the other as a lifetime), the flow
-//! passes and the lexical rules would disagree about where code is.
-//! The properties below make that drift a test failure on arbitrary
-//! interleavings of the tricky fragments.
+//! * tokens and comments are ordered and never overlap;
+//! * a token's line is one plus the newlines before it;
+//! * every non-whitespace byte is inside a token or a comment;
+//! * the code view has the source's length and newlines, and differs
+//!   from the source exactly on comment bytes and literal bodies, which
+//!   it blanks to spaces.
 
 use proptest::prelude::*;
 
-use fae_lint::scrub::scrub;
-use fae_lint::tokens::{tokenize, TokKind};
+use fae_lint::tokens::{code_view, pragmas, tokenize};
 
 /// Source fragments chosen to stress every scanner rule: nested block
 /// comments, escapes inside strings, raw-string hash counts, byte
@@ -40,6 +40,8 @@ const FRAGMENTS: &[&str] = &[
     "r\"raw string\"",
     "r#\"raw with \" inside\"#",
     "r##\"raw with \"# inside\"##",
+    "br\"C:\\\"",
+    "br#\"a\"b\"#",
     "'a'",
     "'\\n'",
     "'\\''",
@@ -60,87 +62,63 @@ fn fragment() -> impl Strategy<Value = &'static str> {
     (0usize..FRAGMENTS.len()).prop_map(|i| FRAGMENTS[i])
 }
 
-/// A token is a literal (its body is blanked by the scrubber) or code
-/// (it must survive scrubbing byte-for-byte).
-fn is_literal(kind: TokKind) -> bool {
-    matches!(kind, TokKind::Str | TokKind::RawStr | TokKind::Char)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn tokenizer_and_scrubber_agree(frags in prop::collection::vec(fragment(), 0..40)) {
+    fn tokens_comments_and_code_view_agree(frags in prop::collection::vec(fragment(), 0..40)) {
         let source: String = frags.concat();
-        let scrubbed = scrub(&source);
-        let toks = tokenize(&source);
-
-        // Scrubbing never changes length — offsets are shared currency.
-        prop_assert_eq!(scrubbed.text.len(), source.len());
-
         let src = source.as_bytes();
-        let blanked = scrubbed.text.as_bytes();
+        let lexed = tokenize(&source);
+
+        // Tokens and comments, merged in file order, tile part of the
+        // file without overlap.
+        let mut spans: Vec<_> = lexed.toks.iter().chain(&lexed.comments).collect();
+        spans.sort_by_key(|t| t.start);
         let mut covered = vec![false; src.len()];
-
-        for t in &toks {
-            prop_assert!(t.start < t.end && t.end <= src.len());
+        let mut prev_end = 0;
+        for t in &spans {
+            prop_assert!(prev_end <= t.start && t.start < t.end && t.end <= src.len(),
+                "span {}..{} overlaps or is empty (previous ended at {})", t.start, t.end, prev_end);
+            prev_end = t.end;
             covered[t.start..t.end].fill(true);
-
-            // Line agreement: the token's line number equals the newline
-            // count of the scrubbed prefix plus one (scrub keeps every
-            // newline, so the source prefix gives the same count).
-            let line = 1 + blanked[..t.start].iter().filter(|&&b| b == b'\n').count();
-            prop_assert_eq!(t.line, line, "token at byte {} line mismatch", t.start);
-
-            // Column agreement, via the shared byte offsets: the distance
-            // to the previous newline is identical in both views.
-            let col_src = t.start - src[..t.start].iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            let col_scrub = t.start - blanked[..t.start].iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            prop_assert_eq!(col_src, col_scrub);
-
-            if is_literal(t.kind) {
-                // The scrubber must have blanked this span's body: any
-                // byte it kept must match the source (delimiters), and
-                // at least the interior must not leak comment markers.
-                for i in t.start..t.end {
-                    prop_assert!(
-                        blanked[i] == src[i] || blanked[i] == b' ' || blanked[i] == b'\n',
-                        "scrub rewrote byte {} inside a literal", i
-                    );
-                }
-            } else {
-                // Code tokens survive scrubbing byte-for-byte. If the
-                // scrubber thought this span was comment or literal body
-                // it would be spaces here, and this fails.
-                prop_assert_eq!(
-                    &scrubbed.text[t.start..t.end],
-                    &source[t.start..t.end],
-                    "scrub blanked a code token at byte {}", t.start
-                );
-            }
+            let line = 1 + src[..t.start].iter().filter(|&&b| b == b'\n').count();
+            prop_assert_eq!(t.line, line, "span at byte {} line mismatch", t.start);
+        }
+        for (i, &b) in src.iter().enumerate() {
+            prop_assert!(b.is_ascii_whitespace() || covered[i],
+                "byte {} ({:?}) is in no token or comment", i, b as char);
         }
 
-        // Converse: every byte the scrubber kept as code is inside some
-        // token (the tokenizer skipped nothing the scrubber kept).
-        for i in 0..src.len() {
-            let b = blanked[i];
-            if b != b' ' && b != b'\n' && !b.is_ascii_whitespace() {
-                prop_assert!(covered[i], "scrub kept byte {} ({:?}) but no token covers it", i, b as char);
+        // The code view blanks exactly comment bytes and literal bodies.
+        let mut blank = vec![false; src.len()];
+        for c in &lexed.comments {
+            blank[c.start..c.end].fill(true);
+        }
+        for t in &lexed.toks {
+            if let Some(body) = t.body(&source) {
+                prop_assert!(t.start < body.start && body.end <= t.end,
+                    "literal at byte {} keeps no opening delimiter", t.start);
+                blank[body].fill(true);
             }
+        }
+        let code = code_view(&source, &lexed.toks, &lexed.comments);
+        prop_assert_eq!(code.len(), src.len());
+        for (i, (&c, &s)) in code.as_bytes().iter().zip(src).enumerate() {
+            let want = if blank[i] && s != b'\n' { b' ' } else { s };
+            prop_assert_eq!(c, want, "code view byte {} of {:?}", i, source);
         }
     }
 
-    /// The scrubber's pragma line numbers agree with the tokenizer's
-    /// line accounting: a pragma reported on line N means no token that
-    /// starts on line N precedes it in the comment (pragmas live in
-    /// comments, which tokens skip entirely).
+    /// Pragma line numbers are real lines of the file.
     #[test]
     fn pragma_lines_are_real_lines(frags in prop::collection::vec(fragment(), 0..30)) {
         let source: String = frags.concat();
-        let scrubbed = scrub(&source);
+        let lexed = tokenize(&source);
+        let (ok, errors) = pragmas(&source, &lexed.comments);
         let total_lines = 1 + source.bytes().filter(|&b| b == b'\n').count();
-        for p in &scrubbed.pragmas {
-            prop_assert!(p.line >= 1 && p.line <= total_lines);
+        for line in ok.iter().map(|p| p.line).chain(errors.iter().map(|e| e.line)) {
+            prop_assert!(line >= 1 && line <= total_lines);
         }
     }
 }
