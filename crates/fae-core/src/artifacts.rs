@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use fae_data::format::FormatError;
+use fae_data::codec::{write_atomic, CodecError};
 use fae_data::BatchKind;
 use fae_embed::HotColdPartition;
 use fae_telemetry::{JournalEvent, Telemetry};
@@ -35,7 +35,7 @@ struct Sidecar {
 #[derive(Debug)]
 pub enum ArtifactError {
     /// FAE-container codec failure.
-    Format(FormatError),
+    Format(CodecError),
     /// Sidecar JSON failure.
     Json(serde_json::Error),
     /// Filesystem failure.
@@ -64,8 +64,8 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-impl From<FormatError> for ArtifactError {
-    fn from(e: FormatError) -> Self {
+impl From<CodecError> for ArtifactError {
+    fn from(e: CodecError) -> Self {
         ArtifactError::Format(e)
     }
 }
@@ -86,18 +86,6 @@ fn sidecar_path(stream: &Path) -> PathBuf {
     PathBuf::from(p)
 }
 
-/// Writes `bytes` to `path` atomically: a sibling temp file in the same
-/// directory (same filesystem, so the rename cannot cross devices) is
-/// written in full, then renamed over the target. A crash mid-write
-/// leaves the old file intact; readers never see a torn file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
-}
-
 /// Saves the static artifacts: `<path>` gets the FAE batch stream,
 /// `<path>.meta.json` the calibration + partitions.
 ///
@@ -107,8 +95,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// new stream beside an old sidecar — [`load`] then fails on the
 /// partition/stream mismatch rather than silently mixing generations.
 pub fn save(artifacts: &StaticArtifacts, workload: &str, path: &Path) -> Result<(), ArtifactError> {
-    let stream = artifacts.preprocessed.to_fae_file(workload).encode();
-    write_atomic(path, &stream)?;
+    write_atomic(path, &artifacts.preprocessed.to_fae_file(workload).encode())?;
     let sidecar = Sidecar {
         calibration: artifacts.calibration.clone(),
         partitions: artifacts.preprocessed.partitions.clone(),

@@ -13,20 +13,19 @@
 //! cost charge replays identically.
 //!
 //! On disk the checkpoint is an FAE-style little-endian binary container
-//! (`"FAEK"` magic, version, payload, CRC-32 trailer), written atomically
-//! via write-temp-then-rename so a crash mid-write never leaves a torn
-//! file that a resume could trip over. Decoding treats the bytes as
-//! untrusted: every read is bounds-checked, sizes are checked for
-//! overflow, and the CRC is verified before any field is trusted —
-//! corruption yields [`CheckpointError`], never a panic.
+//! (`"FAEK"` magic, version, payload, CRC-32 trailer) built on
+//! [`fae_data::codec`], and it is written with the codec's atomic
+//! write-temp-then-rename, so a crash mid-write never leaves a torn file
+//! that a resume could trip over. Decoding treats the bytes as
+//! untrusted: the CRC is verified before any field is read, every read
+//! is bounds-checked, and no count sizes an allocation the bytes do not
+//! back. Corruption yields a [`CodecError`], never a panic.
 
-use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, BytesMut};
-
+use fae_data::codec::{crc32, unseal, write_atomic, CodecError, Reader, Writer};
 use fae_embed::EmbeddingTable;
 use fae_models::MasterEmbeddings;
 use fae_nn::Tensor;
@@ -42,46 +41,6 @@ const MAGIC: &[u8; 4] = b"FAEK";
 const VERSION: u32 = 2;
 const FILE_PREFIX: &str = "ckpt-";
 const FILE_SUFFIX: &str = ".faeck";
-
-/// Errors producing or consuming a checkpoint.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The magic bytes were wrong — not a checkpoint file.
-    BadMagic,
-    /// Unsupported container version.
-    BadVersion(u32),
-    /// The CRC-32 trailer did not match the payload.
-    BadChecksum,
-    /// The buffer ended before the declared content.
-    Truncated(&'static str),
-    /// A structural invariant failed.
-    Corrupt(&'static str),
-    /// Underlying I/O failure.
-    Io(io::Error),
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::BadMagic => write!(f, "not an FAE checkpoint (bad magic)"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
-            CheckpointError::Truncated(what) => {
-                write!(f, "checkpoint truncated while reading {what}")
-            }
-            CheckpointError::Corrupt(what) => write!(f, "checkpoint corrupt: {what}"),
-            CheckpointError::Io(e) => write!(f, "io error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
 
 /// One master embedding table, flattened.
 #[derive(Clone, Debug, PartialEq)]
@@ -178,336 +137,111 @@ impl TrainCheckpoint {
 
     /// Serialises to the binary container (payload + CRC-32 trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(4096);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(self.config_seed);
-        buf.put_u32_le(self.epoch);
-        buf.put_u64_le(self.hot_cursor);
-        buf.put_u64_le(self.cold_cursor);
-        buf.put_u64_le(self.steps);
-        buf.put_u64_le(self.hot_steps);
-        buf.put_u64_le(self.cold_steps);
-        buf.put_u64_le(self.transitions);
-        buf.put_u32_le(self.gpus_active);
-        buf.put_u8(self.cold_only as u8);
-        // Scheduler.
-        buf.put_u32_le(self.scheduler.rate);
-        match self.scheduler.prev_loss {
-            Some(l) => {
-                buf.put_u8(1);
-                buf.put_f64_le(l);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_f64_le(0.0);
-            }
-        }
-        buf.put_u32_le(self.scheduler.improving_streak);
-        buf.put_u32_le(self.scheduler.u);
-        buf.put_u32_le(self.scheduler.history.len() as u32);
-        for &(loss, rate) in &self.scheduler.history {
-            buf.put_f64_le(loss);
-            buf.put_u32_le(rate);
+        let mut w = Writer::with_capacity(4096);
+        w.header(MAGIC, VERSION);
+        w.u64(self.config_seed);
+        w.u32(self.epoch);
+        w.u64(self.hot_cursor);
+        w.u64(self.cold_cursor);
+        w.u64(self.steps);
+        w.u64(self.hot_steps);
+        w.u64(self.cold_steps);
+        w.u64(self.transitions);
+        w.u32(self.gpus_active);
+        w.u8(self.cold_only as u8);
+        let s = &self.scheduler;
+        w.u32(s.rate);
+        w.u8(s.prev_loss.is_some() as u8);
+        w.f64(s.prev_loss.unwrap_or(0.0));
+        w.u32(s.improving_streak);
+        w.u32(s.u);
+        w.count(s.history.len());
+        for &(loss, rate) in &s.history {
+            w.f64(loss);
+            w.u32(rate);
         }
         // Timeline: the eight phases in display order, then CPU-resident.
         for phase in Phase::ALL {
-            buf.put_f64_le(self.timeline.get(phase));
+            w.f64(self.timeline.get(phase));
         }
-        buf.put_f64_le(self.timeline.cpu_resident());
-        // Eval history.
-        buf.put_u32_le(self.history.len() as u32);
+        w.f64(self.timeline.cpu_resident());
+        w.count(self.history.len());
         for p in &self.history {
-            buf.put_u64_le(p.iteration as u64);
-            buf.put_f64_le(p.test_loss);
-            buf.put_f64_le(p.test_accuracy);
-            match p.rate {
-                Some(r) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(r);
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_u32_le(0);
-                }
-            }
-            buf.put_u64_le(p.hot_steps as u64);
-            buf.put_u64_le(p.cold_steps as u64);
-            buf.put_f64_le(p.sim_seconds);
+            w.u64(p.iteration as u64);
+            w.f64(p.test_loss);
+            w.f64(p.test_accuracy);
+            w.u8(p.rate.is_some() as u8);
+            w.u32(p.rate.unwrap_or(0));
+            w.u64(p.hot_steps as u64);
+            w.u64(p.cold_steps as u64);
+            w.f64(p.sim_seconds);
         }
-        // Fault log.
-        buf.put_u32_le(self.faults.len() as u32);
+        w.count(self.faults.len());
         for f in &self.faults {
-            buf.put_u8(f.kind.tag());
-            buf.put_u64_le(f.at);
-            buf.put_u64_le(f.step);
+            w.u8(f.kind.tag());
+            w.u64(f.at);
+            w.u64(f.step);
         }
-        // Recovery log.
-        buf.put_u32_le(self.recoveries.len() as u32);
+        w.count(self.recoveries.len());
         for r in &self.recoveries {
-            match *r {
-                RecoveryAction::ShrankReplicas { step, from, to } => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(from);
-                    buf.put_u32_le(to);
-                }
-                RecoveryAction::ColdFallback { step } => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(step);
-                }
-                RecoveryAction::SyncRetried { step, attempts, waited_s } => {
-                    buf.put_u8(2);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(attempts);
-                    buf.put_f64_le(waited_s);
-                }
-                RecoveryAction::RetriedIo { attempts, waited_s } => {
-                    buf.put_u8(3);
-                    buf.put_u32_le(attempts);
-                    buf.put_f64_le(waited_s);
-                }
-                RecoveryAction::RebuiltArtifacts => buf.put_u8(4),
-                RecoveryAction::ResumedFromCheckpoint { step } => {
-                    buf.put_u8(5);
-                    buf.put_u64_le(step);
-                }
-                RecoveryAction::ReshardedToSurvivors { step, node, live } => {
-                    buf.put_u8(6);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(node);
-                    buf.put_u32_le(live);
-                }
-                RecoveryAction::NodeRejoined { step, node, state_bytes } => {
-                    buf.put_u8(7);
-                    buf.put_u64_le(step);
-                    buf.put_u32_le(node);
-                    buf.put_u64_le(state_bytes);
-                }
-            }
+            write_recovery(&mut w, r);
         }
-        // Dense parameters.
-        buf.put_u32_le(self.dense_params.len() as u32);
-        for &p in &self.dense_params {
-            buf.put_f32_le(p);
-        }
-        // Embedding tables.
-        buf.put_u32_le(self.tables.len() as u32);
-        for t in &self.tables {
-            buf.put_u32_le(t.rows);
-            buf.put_u32_le(t.dim);
-            for &w in &t.weights {
-                buf.put_f32_le(w);
-            }
-        }
-        let mut out = buf.freeze().to_vec();
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        write_model(&mut w, &self.dense_params, &self.tables);
+        w.seal()
     }
 
-    /// Parses and validates a container (magic, version, CRC, structure).
-    pub fn decode(data: &[u8]) -> Result<Self, CheckpointError> {
-        if data.len() < 4 {
-            return Err(CheckpointError::Truncated("crc trailer"));
-        }
-        let (payload, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        if crc32(payload) != stored {
-            return Err(CheckpointError::BadChecksum);
-        }
-        let mut buf = payload;
-        let buf = &mut buf;
-        need(buf, 8, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        need(buf, 8 + 4 + 8 * 6 + 4 + 1, "run state")?;
-        let config_seed = buf.get_u64_le();
-        let epoch = buf.get_u32_le();
-        let hot_cursor = buf.get_u64_le();
-        let cold_cursor = buf.get_u64_le();
-        let steps = buf.get_u64_le();
-        let hot_steps = buf.get_u64_le();
-        let cold_steps = buf.get_u64_le();
-        let transitions = buf.get_u64_le();
-        let gpus_active = buf.get_u32_le();
-        let cold_only = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            _ => return Err(CheckpointError::Corrupt("cold_only flag")),
-        };
-        // Scheduler.
-        need(buf, 4 + 1 + 8 + 4 + 4 + 4, "scheduler state")?;
-        let rate = buf.get_u32_le();
-        let has_prev = buf.get_u8();
-        let prev_raw = buf.get_f64_le();
-        let prev_loss = match has_prev {
-            0 => None,
-            1 => Some(prev_raw),
-            _ => return Err(CheckpointError::Corrupt("prev_loss flag")),
-        };
-        let improving_streak = buf.get_u32_le();
-        let u = buf.get_u32_le();
-        let hist_len = buf.get_u32_le() as usize;
-        need(buf, checked(hist_len, 12, "scheduler history")?, "scheduler history")?;
-        let mut sched_history = Vec::with_capacity(hist_len);
-        for _ in 0..hist_len {
-            let loss = buf.get_f64_le();
-            let r = buf.get_u32_le();
-            sched_history.push((loss, r));
-        }
-        // Timeline.
-        need(buf, 8 * 9, "timeline")?;
+    /// Parses and validates a container (CRC, magic, version, structure).
+    pub fn decode(data: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(unseal(data)?);
+        r.header(MAGIC, VERSION)?;
+        let config_seed = r.u64()?;
+        let epoch = r.u32()?;
+        let hot_cursor = r.u64()?;
+        let cold_cursor = r.u64()?;
+        let steps = r.u64()?;
+        let hot_steps = r.u64()?;
+        let cold_steps = r.u64()?;
+        let transitions = r.u64()?;
+        let gpus_active = r.u32()?;
+        let cold_only = r.flag("cold_only flag")?;
+        let rate = r.u32()?;
+        let prev_loss = r.flag("prev_loss flag")?.then_some(r.f64()?);
+        let improving_streak = r.u32()?;
+        let u = r.u32()?;
+        let sched_history = r.list(|r| Ok((r.f64()?, r.u32()?)))?;
         let mut timeline = Timeline::new();
         for phase in Phase::ALL {
-            let secs = buf.get_f64_le();
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(CheckpointError::Corrupt("negative or non-finite phase time"));
-            }
-            timeline.add(phase, secs);
+            timeline.add(phase, seconds(&mut r, "negative or non-finite phase time")?);
         }
-        let cpu_res = buf.get_f64_le();
-        if !cpu_res.is_finite() || cpu_res < 0.0 {
-            return Err(CheckpointError::Corrupt("negative or non-finite cpu-resident time"));
-        }
-        timeline.add_cpu_resident(cpu_res);
-        // Eval history.
-        need(buf, 4, "eval history length")?;
-        let n_hist = buf.get_u32_le() as usize;
-        need(buf, checked(n_hist, 53, "eval history")?, "eval history")?;
-        let mut history = Vec::with_capacity(n_hist);
-        for _ in 0..n_hist {
-            let iteration = buf.get_u64_le() as usize;
-            let test_loss = buf.get_f64_le();
-            let test_accuracy = buf.get_f64_le();
-            let has_rate = buf.get_u8();
-            let rate_raw = buf.get_u32_le();
-            let rate = match has_rate {
-                0 => None,
-                1 => Some(rate_raw),
-                _ => return Err(CheckpointError::Corrupt("eval rate flag")),
-            };
-            let hot_steps = buf.get_u64_le() as usize;
-            let cold_steps = buf.get_u64_le() as usize;
-            let sim_seconds = buf.get_f64_le();
-            if !sim_seconds.is_finite() || sim_seconds < 0.0 {
-                return Err(CheckpointError::Corrupt("negative or non-finite eval sim time"));
-            }
-            history.push(EvalPoint {
+        timeline.add_cpu_resident(seconds(&mut r, "negative or non-finite cpu-resident time")?);
+        let history = r.list(|r| {
+            let iteration = r.u64()? as usize;
+            let test_loss = r.f64()?;
+            let test_accuracy = r.f64()?;
+            let rate = r.flag("eval rate flag")?.then_some(r.u32()?);
+            Ok(EvalPoint {
                 iteration,
                 test_loss,
                 test_accuracy,
                 rate,
-                hot_steps,
-                cold_steps,
-                sim_seconds,
-            });
-        }
-        // Fault log.
-        need(buf, 4, "fault log length")?;
-        let n_faults = buf.get_u32_le() as usize;
-        need(buf, checked(n_faults, 17, "fault log")?, "fault log")?;
-        let mut faults = Vec::with_capacity(n_faults);
-        for _ in 0..n_faults {
-            let kind = FaultKind::from_tag(buf.get_u8())
-                .ok_or(CheckpointError::Corrupt("unknown fault kind"))?;
-            let at = buf.get_u64_le();
-            let step = buf.get_u64_le();
-            faults.push(InjectedFault { kind, at, step });
-        }
-        // Recovery log.
-        need(buf, 4, "recovery log length")?;
-        let n_rec = buf.get_u32_le() as usize;
-        let mut recoveries = Vec::with_capacity(n_rec.min(1024));
-        for _ in 0..n_rec {
-            need(buf, 1, "recovery tag")?;
-            let action = match buf.get_u8() {
-                0 => {
-                    need(buf, 16, "shrank-replicas record")?;
-                    RecoveryAction::ShrankReplicas {
-                        step: buf.get_u64_le(),
-                        from: buf.get_u32_le(),
-                        to: buf.get_u32_le(),
-                    }
-                }
-                1 => {
-                    need(buf, 8, "cold-fallback record")?;
-                    RecoveryAction::ColdFallback { step: buf.get_u64_le() }
-                }
-                2 => {
-                    need(buf, 20, "sync-retried record")?;
-                    RecoveryAction::SyncRetried {
-                        step: buf.get_u64_le(),
-                        attempts: buf.get_u32_le(),
-                        waited_s: buf.get_f64_le(),
-                    }
-                }
-                3 => {
-                    need(buf, 12, "retried-io record")?;
-                    RecoveryAction::RetriedIo {
-                        attempts: buf.get_u32_le(),
-                        waited_s: buf.get_f64_le(),
-                    }
-                }
-                4 => RecoveryAction::RebuiltArtifacts,
-                5 => {
-                    need(buf, 8, "resumed record")?;
-                    RecoveryAction::ResumedFromCheckpoint { step: buf.get_u64_le() }
-                }
-                6 => {
-                    need(buf, 16, "resharded record")?;
-                    RecoveryAction::ReshardedToSurvivors {
-                        step: buf.get_u64_le(),
-                        node: buf.get_u32_le(),
-                        live: buf.get_u32_le(),
-                    }
-                }
-                7 => {
-                    need(buf, 20, "node-rejoined record")?;
-                    RecoveryAction::NodeRejoined {
-                        step: buf.get_u64_le(),
-                        node: buf.get_u32_le(),
-                        state_bytes: buf.get_u64_le(),
-                    }
-                }
-                _ => return Err(CheckpointError::Corrupt("unknown recovery tag")),
-            };
-            recoveries.push(action);
-        }
-        // Dense parameters.
-        need(buf, 4, "dense param count")?;
-        let n_params = buf.get_u32_le() as usize;
-        need(buf, checked(n_params, 4, "dense params")?, "dense params")?;
-        let mut dense_params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            dense_params.push(buf.get_f32_le());
-        }
-        // Embedding tables.
-        need(buf, 4, "table count")?;
-        let n_tables = buf.get_u32_le() as usize;
-        let mut tables = Vec::with_capacity(n_tables.min(4096));
-        for _ in 0..n_tables {
-            need(buf, 8, "table header")?;
-            let rows = buf.get_u32_le();
-            let dim = buf.get_u32_le();
-            let count = checked(rows as usize, dim as usize, "table size")?;
-            need(buf, checked(count, 4, "table weights")?, "table weights")?;
-            let mut weights = Vec::with_capacity(count);
-            for _ in 0..count {
-                weights.push(buf.get_f32_le());
-            }
-            tables.push(TableSnapshot { rows, dim, weights });
-        }
-        if buf.remaining() > 0 {
-            return Err(CheckpointError::Corrupt("trailing bytes before crc"));
-        }
+                hot_steps: r.u64()? as usize,
+                cold_steps: r.u64()? as usize,
+                sim_seconds: seconds(r, "negative or non-finite eval sim time")?,
+            })
+        })?;
+        let faults = r.list(|r| {
+            let kind =
+                FaultKind::from_tag(r.u8()?).ok_or(CodecError::Corrupt("unknown fault kind"))?;
+            Ok(InjectedFault { kind, at: r.u64()?, step: r.u64()? })
+        })?;
+        let recoveries = r.list(read_recovery)?;
+        let dense_params = r.f32_vec()?;
+        let tables = r.list(|r| {
+            let (rows, dim) = (r.u32()?, r.u32()?);
+            let weights = r.f32s((rows as usize).saturating_mul(dim as usize))?;
+            Ok(TableSnapshot { rows, dim, weights })
+        })?;
+        r.finish()?;
         Ok(Self {
             config_seed,
             epoch,
@@ -536,31 +270,108 @@ impl TrainCheckpoint {
     }
 
     /// Writes the checkpoint into `dir` as `ckpt-<steps>.faeck`,
-    /// atomically (temp file in the same directory, then rename).
-    /// Returns the final path.
-    pub fn save(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
+    /// atomically. Returns the final path.
+    pub fn save(&self, dir: &Path) -> io::Result<PathBuf> {
         fs::create_dir_all(dir)?;
-        let name = format!("{FILE_PREFIX}{:012}{FILE_SUFFIX}", self.steps);
-        let path = dir.join(&name);
-        let tmp = dir.join(format!("{name}.tmp"));
-        fs::write(&tmp, self.encode())?;
-        fs::rename(&tmp, &path)?;
+        let path = dir.join(format!("{FILE_PREFIX}{:012}{FILE_SUFFIX}", self.steps));
+        write_atomic(&path, &self.encode())?;
         Ok(path)
     }
 
     /// Reads and validates a checkpoint file.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
+    pub fn load(path: &Path) -> Result<Self, CodecError> {
         Self::decode(&fs::read(path)?)
+    }
+}
+
+/// A simulated duration: finite and non-negative, else corruption.
+fn seconds(r: &mut Reader<'_>, what: &'static str) -> Result<f64, CodecError> {
+    let s = r.f64()?;
+    if !s.is_finite() || s < 0.0 {
+        return Err(CodecError::Corrupt(what));
+    }
+    Ok(s)
+}
+
+fn write_recovery(w: &mut Writer, r: &RecoveryAction) {
+    match *r {
+        RecoveryAction::ShrankReplicas { step, from, to } => {
+            w.u8(0);
+            w.u64(step);
+            w.u32(from);
+            w.u32(to);
+        }
+        RecoveryAction::ColdFallback { step } => {
+            w.u8(1);
+            w.u64(step);
+        }
+        RecoveryAction::SyncRetried { step, attempts, waited_s } => {
+            w.u8(2);
+            w.u64(step);
+            w.u32(attempts);
+            w.f64(waited_s);
+        }
+        RecoveryAction::RetriedIo { attempts, waited_s } => {
+            w.u8(3);
+            w.u32(attempts);
+            w.f64(waited_s);
+        }
+        RecoveryAction::RebuiltArtifacts => w.u8(4),
+        RecoveryAction::ResumedFromCheckpoint { step } => {
+            w.u8(5);
+            w.u64(step);
+        }
+        RecoveryAction::ReshardedToSurvivors { step, node, live } => {
+            w.u8(6);
+            w.u64(step);
+            w.u32(node);
+            w.u32(live);
+        }
+        RecoveryAction::NodeRejoined { step, node, state_bytes } => {
+            w.u8(7);
+            w.u64(step);
+            w.u32(node);
+            w.u64(state_bytes);
+        }
+    }
+}
+
+fn read_recovery(r: &mut Reader<'_>) -> Result<RecoveryAction, CodecError> {
+    Ok(match r.u8()? {
+        0 => RecoveryAction::ShrankReplicas { step: r.u64()?, from: r.u32()?, to: r.u32()? },
+        1 => RecoveryAction::ColdFallback { step: r.u64()? },
+        2 => RecoveryAction::SyncRetried { step: r.u64()?, attempts: r.u32()?, waited_s: r.f64()? },
+        3 => RecoveryAction::RetriedIo { attempts: r.u32()?, waited_s: r.f64()? },
+        4 => RecoveryAction::RebuiltArtifacts,
+        5 => RecoveryAction::ResumedFromCheckpoint { step: r.u64()? },
+        6 => {
+            RecoveryAction::ReshardedToSurvivors { step: r.u64()?, node: r.u32()?, live: r.u32()? }
+        }
+        7 => RecoveryAction::NodeRejoined { step: r.u64()?, node: r.u32()?, state_bytes: r.u64()? },
+        _ => return Err(CodecError::Corrupt("unknown recovery tag")),
+    })
+}
+
+/// The model section shared by the checkpoint and [`model_digest`]:
+/// counted dense parameters, then counted tables of `rows`, `dim` and
+/// `rows * dim` weights.
+fn write_model(w: &mut Writer, dense_params: &[f32], tables: &[TableSnapshot]) {
+    w.f32_vec(dense_params);
+    w.count(tables.len());
+    for t in tables {
+        w.u32(t.rows);
+        w.u32(t.dim);
+        w.f32s(&t.weights);
     }
 }
 
 /// Finds the most recent checkpoint (highest step count) in `dir`.
 /// Returns `Ok(None)` when the directory is missing or holds none.
-pub fn latest_in(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
+pub fn latest_in(dir: &Path) -> io::Result<Option<PathBuf>> {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(e),
     };
     let mut best: Option<(u64, PathBuf)> = None;
     for entry in entries {
@@ -579,53 +390,15 @@ pub fn latest_in(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
     Ok(best.map(|(_, p)| p))
 }
 
-fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), CheckpointError> {
-    if buf.remaining() < n {
-        Err(CheckpointError::Truncated(what))
-    } else {
-        Ok(())
-    }
-}
-
-fn checked(elems: usize, width: usize, what: &'static str) -> Result<usize, CheckpointError> {
-    elems.checked_mul(width).ok_or(CheckpointError::Corrupt(what))
-}
-
 /// CRC-32 fingerprint of the *model* alone: flattened dense parameters
 /// plus the master embedding tables. Unlike [`TrainCheckpoint::digest`]
 /// it ignores scheduler/timeline/fault state, so a distributed run and a
 /// single-process run that trained the same weights compare equal even
 /// though their fault logs differ.
 pub fn model_digest(dense_params: &[f32], tables: &[TableSnapshot]) -> u32 {
-    let mut buf = BytesMut::with_capacity(dense_params.len() * 4 + 64);
-    buf.put_u32_le(dense_params.len() as u32);
-    for &p in dense_params {
-        buf.put_f32_le(p);
-    }
-    buf.put_u32_le(tables.len() as u32);
-    for t in tables {
-        buf.put_u32_le(t.rows);
-        buf.put_u32_le(t.dim);
-        for &w in &t.weights {
-            buf.put_f32_le(w);
-        }
-    }
-    crc32(&buf.freeze().to_vec())
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320). Public so the
-/// wire protocol (`fae-net`) frames carry the same checksum the on-disk
-/// containers do.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    let mut w = Writer::with_capacity(dense_params.len() * 4 + 64);
+    write_model(&mut w, dense_params, tables);
+    crc32(&w.finish())
 }
 
 #[cfg(test)]
@@ -702,6 +475,23 @@ mod tests {
     }
 
     #[test]
+    fn resealed_byte_changes_never_panic() {
+        // Past the CRC: every payload byte set to a few values under a
+        // recomputed trailer, so the field decoders see malformed records.
+        let bytes = sample().encode();
+        let payload = &bytes[..bytes.len() - 4];
+        for i in 0..payload.len() {
+            for value in [0x00, 0x01, 0x7F, 0xFF] {
+                let mut w = Writer::default();
+                w.bytes(&payload[..i]);
+                w.u8(value);
+                w.bytes(&payload[i + 1..]);
+                let _ = TrainCheckpoint::decode(&w.seal());
+            }
+        }
+    }
+
+    #[test]
     fn truncation_at_every_prefix_is_an_error() {
         let bytes = sample().encode();
         for cut in 0..bytes.len() {
@@ -765,6 +555,6 @@ mod tests {
         let len = bytes.len();
         let crc = crc32(&bytes[..len - 4]);
         bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(TrainCheckpoint::decode(&bytes), Err(CheckpointError::Truncated(_))));
+        assert!(matches!(TrainCheckpoint::decode(&bytes), Err(CodecError::Truncated { .. })));
     }
 }

@@ -30,10 +30,13 @@
 //! * [`faults`] — deterministic, seed-driven fault injection (device
 //!   loss, replication OOM, sync failure, artifact corruption, transient
 //!   I/O) with bounded-backoff retry plumbing,
-//! * [`checkpoint`] — binary training checkpoints (atomic write, CRC-32
-//!   verified) that make an interrupted run resume bit-identically,
+//! * [`checkpoint`] — binary training checkpoints that make an
+//!   interrupted run resume bit-identically; they are encoded with
+//!   [`fae_data::codec`] (CRC-32 verified, written atomically) and
+//!   decode errors are its [`CodecError`](fae_data::codec::CodecError),
 //! * [`artifacts`] — persistence of the static-phase outputs (the FAE
-//!   stream, the calibration and the partitions),
+//!   stream, the calibration and the partitions), each file written with
+//!   the codec's atomic write,
 //! * [`simsched`] — schedule-only simulation of a training run at paper
 //!   scale, priced by the same cost model.
 
@@ -54,7 +57,7 @@ pub mod trainer;
 
 pub use calibrator::{CalibrationResult, Calibrator, CalibratorConfig, RandEmBox, RandEmEstimate};
 pub use checkpoint::model_digest;
-pub use checkpoint::{latest_in, CheckpointError, TableSnapshot, TrainCheckpoint};
+pub use checkpoint::{latest_in, TableSnapshot, TrainCheckpoint};
 pub use classifier::classify_tables;
 pub use exec::{compute_shard, reduce_shards, NetEvents, ParallelEngine, ShardOutput, StepEngine};
 pub use fae_telemetry::Telemetry;

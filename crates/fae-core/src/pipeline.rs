@@ -7,7 +7,8 @@
 use std::sync::mpsc;
 use std::thread;
 
-use fae_data::format::{FaeStreamReader, FormatError};
+use fae_data::codec::CodecError;
+use fae_data::format::FaeStreamReader;
 use fae_data::{Dataset, MiniBatch, WorkloadSpec};
 use fae_telemetry::Telemetry;
 
@@ -98,7 +99,7 @@ impl<T: Send + 'static> Drop for Prefetcher<T> {
 /// batch stream.
 pub fn prefetch_fae_blocks(
     bytes: Vec<u8>,
-) -> Result<(String, Prefetcher<Result<MiniBatch, FormatError>>), FormatError> {
+) -> Result<(String, Prefetcher<Result<MiniBatch, CodecError>>), CodecError> {
     let workload = FaeStreamReader::open(&bytes)?.workload().to_string();
     let spawn = Prefetcher::spawn(move |tx| {
         let mut reader = match FaeStreamReader::open(&bytes) {
@@ -123,7 +124,7 @@ pub fn prefetch_fae_blocks(
             }
         }
     });
-    let pf = spawn.map_err(FormatError::Io)?;
+    let pf = spawn.map_err(CodecError::Io)?;
     Ok((workload, pf))
 }
 

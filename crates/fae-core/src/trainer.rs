@@ -931,7 +931,7 @@ impl<'a, En: StepEngine> Run<'a, En> {
             if attempt <= io_failures {
                 Err(io::Error::other("injected transient i/o failure"))
             } else {
-                ck.save(dir).map_err(|e| io::Error::other(e.to_string()))
+                ck.save(dir)
             }
         });
         match saved {

@@ -7,63 +7,22 @@
 //! ```text
 //! magic "FAE1" | version u32 | workload-name (u32 len + utf8)
 //! dense_width u32 | num_tables u32 | num_batches u32
-//! repeat per batch:
-//!   kind u8 (0 hot, 1 cold, 2 unclassified) | batch_len u32
-//!   dense:  batch_len * dense_width f32
-//!   labels: batch_len f32
-//!   per table: nnz u32 | indices u32[nnz] | offsets u32[batch_len + 1]
+//! repeat per batch: the mini-batch record of `codec::Writer::batch`
 //! ```
 //!
-//! Decoding validates magic, version, offset monotonicity and trailing
-//! bytes, returning [`FormatError`] instead of panicking — this file
-//! crosses process boundaries, so it is treated as untrusted input.
+//! The bytes are read through [`crate::codec`]: decoding validates the
+//! magic, version, offset monotonicity and trailing bytes, and returns a
+//! [`CodecError`] instead of panicking. This file crosses process
+//! boundaries, so it is treated as untrusted input.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::fmt;
 use std::fs;
-use std::io;
 use std::path::Path;
 
-use crate::dataset::TableIndices;
+use crate::codec::{write_atomic, CodecError, Reader, Writer};
 use crate::minibatch::{BatchKind, MiniBatch};
 
 const MAGIC: &[u8; 4] = b"FAE1";
 const VERSION: u32 = 1;
-
-/// Errors produced while decoding an FAE container.
-#[derive(Debug)]
-pub enum FormatError {
-    /// The magic bytes were wrong — not an FAE file.
-    BadMagic,
-    /// Unsupported container version.
-    BadVersion(u32),
-    /// The buffer ended before the declared content.
-    Truncated(&'static str),
-    /// A structural invariant failed (e.g. non-monotonic offsets).
-    Corrupt(&'static str),
-    /// Underlying I/O failure.
-    Io(io::Error),
-}
-
-impl fmt::Display for FormatError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FormatError::BadMagic => write!(f, "not an FAE file (bad magic)"),
-            FormatError::BadVersion(v) => write!(f, "unsupported FAE version {v}"),
-            FormatError::Truncated(what) => write!(f, "FAE file truncated while reading {what}"),
-            FormatError::Corrupt(what) => write!(f, "FAE file corrupt: {what}"),
-            FormatError::Io(e) => write!(f, "io error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FormatError {}
-
-impl From<io::Error> for FormatError {
-    fn from(e: io::Error) -> Self {
-        FormatError::Io(e)
-    }
-}
 
 /// A preprocessed mini-batch stream plus identifying metadata.
 #[derive(Clone, Debug)]
@@ -104,82 +63,39 @@ impl FaeFile {
     }
 
     /// Serialises to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1024);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.workload.len() as u32);
-        buf.put_slice(self.workload.as_bytes());
-        buf.put_u32_le(self.dense_width);
-        buf.put_u32_le(self.num_tables);
-        buf.put_u32_le(self.batches.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(1024);
+        w.header(MAGIC, VERSION);
+        w.str(&self.workload);
+        w.u32(self.dense_width);
+        w.u32(self.num_tables);
+        w.count(self.batches.len());
         for b in &self.batches {
-            buf.put_u8(match b.kind {
-                BatchKind::Hot => 0,
-                BatchKind::Cold => 1,
-                BatchKind::Unclassified => 2,
-            });
-            buf.put_u32_le(b.len() as u32);
-            for &v in &b.dense {
-                buf.put_f32_le(v);
-            }
-            for &v in &b.labels {
-                buf.put_f32_le(v);
-            }
-            for csr in &b.sparse {
-                buf.put_u32_le(csr.indices.len() as u32);
-                for &i in &csr.indices {
-                    buf.put_u32_le(i);
-                }
-                for &o in &csr.offsets {
-                    buf.put_u32_le(o as u32);
-                }
-            }
+            w.batch(b);
         }
-        buf.freeze()
+        w.finish()
     }
 
     /// Parses a container from bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, FormatError> {
+    pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         let mut reader = FaeStreamReader::open(buf)?;
-        // The declared batch count is untrusted: clamp the up-front
-        // allocation by what the buffer could physically hold (a batch
-        // header alone is 5 bytes), so a corrupt header cannot force a
-        // huge allocation before the first decode error surfaces.
-        let plausible = (reader.batches_remaining() as usize).min(buf.len() / 5 + 1);
-        let mut batches = Vec::with_capacity(plausible);
+        let mut batches = Vec::with_capacity(reader.batches_remaining() as usize);
         while let Some(batch) = reader.next_batch()? {
             batches.push(batch);
         }
-        if reader.trailing_bytes() > 0 {
-            return Err(FormatError::Corrupt("trailing bytes after final batch"));
-        }
-        Ok(Self {
-            workload: reader.workload().to_string(),
-            dense_width: reader.dense_width(),
-            num_tables: reader.num_tables(),
-            batches,
-        })
+        let FaeStreamReader { r, workload, dense_width, num_tables, .. } = reader;
+        r.finish()?;
+        Ok(Self { workload, dense_width, num_tables, batches })
     }
 
-    /// Writes the container to a file.
-    pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), FormatError> {
-        fs::write(path, self.encode())?;
-        Ok(())
+    /// Writes the container to a file, atomically.
+    pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), CodecError> {
+        Ok(write_atomic(path.as_ref(), &self.encode())?)
     }
 
     /// Reads a container from a file.
-    pub fn read_file(path: impl AsRef<Path>) -> Result<Self, FormatError> {
-        let data = fs::read(path)?;
-        Self::decode(&data)
-    }
-}
-
-fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), FormatError> {
-    if buf.remaining() < n {
-        Err(FormatError::Truncated(what))
-    } else {
-        Ok(())
+    pub fn read_file(path: impl AsRef<Path>) -> Result<Self, CodecError> {
+        Self::decode(&fs::read(path)?)
     }
 }
 
@@ -187,7 +103,7 @@ fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), FormatError> {
 /// a time, so a training loop can stream a large preprocessed file
 /// without materialising every batch up front.
 pub struct FaeStreamReader<'a> {
-    buf: &'a [u8],
+    r: Reader<'a>,
     workload: String,
     dense_width: u32,
     num_tables: u32,
@@ -196,28 +112,14 @@ pub struct FaeStreamReader<'a> {
 
 impl<'a> FaeStreamReader<'a> {
     /// Validates the header and positions the reader at the first batch.
-    pub fn open(mut buf: &'a [u8]) -> Result<Self, FormatError> {
-        need(buf, 8, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(FormatError::BadMagic);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(FormatError::BadVersion(version));
-        }
-        need(buf, 4, "workload name")?;
-        let name_len = buf.get_u32_le() as usize;
-        need(buf, name_len, "workload name")?;
-        let workload = String::from_utf8(buf[..name_len].to_vec())
-            .map_err(|_| FormatError::Corrupt("workload name not utf8"))?;
-        buf.advance(name_len);
-        need(buf, 12, "shape header")?;
-        let dense_width = buf.get_u32_le();
-        let num_tables = buf.get_u32_le();
-        let remaining = buf.get_u32_le();
-        Ok(Self { buf, workload, dense_width, num_tables, remaining })
+    pub fn open(buf: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(buf);
+        r.header(MAGIC, VERSION)?;
+        let workload = r.str()?;
+        let dense_width = r.u32()?;
+        let num_tables = r.u32()?;
+        let remaining = r.batch_count(num_tables as usize)? as u32;
+        Ok(Self { r, workload, dense_width, num_tables, remaining })
     }
 
     /// Workload name recorded in the header.
@@ -244,7 +146,7 @@ impl<'a> FaeStreamReader<'a> {
     /// only meaningful once every batch has been read).
     pub fn trailing_bytes(&self) -> usize {
         if self.remaining == 0 {
-            self.buf.remaining()
+            self.r.remaining()
         } else {
             0
         }
@@ -252,66 +154,18 @@ impl<'a> FaeStreamReader<'a> {
 
     /// Decodes the next batch, or `Ok(None)` when the stream is done.
     #[allow(clippy::should_implement_trait)] // fallible next; Iterator wraps it
-    pub fn next_batch(&mut self) -> Result<Option<MiniBatch>, FormatError> {
+    pub fn next_batch(&mut self) -> Result<Option<MiniBatch>, CodecError> {
         if self.remaining == 0 {
             return Ok(None);
         }
         self.remaining -= 1;
-        let buf = &mut self.buf;
-        need(buf, 5, "batch header")?;
-        let kind = match buf.get_u8() {
-            0 => BatchKind::Hot,
-            1 => BatchKind::Cold,
-            2 => BatchKind::Unclassified,
-            _ => return Err(FormatError::Corrupt("unknown batch kind")),
-        };
-        let len = buf.get_u32_le() as usize;
-        // Both factors are untrusted u32s: the products can exceed usize
-        // on 32-bit targets (and `dense_n * 4` can on 64-bit), so every
-        // size computation is overflow-checked before it sizes a read.
-        let dense_n = len
-            .checked_mul(self.dense_width as usize)
-            .ok_or(FormatError::Corrupt("dense block size overflows"))?;
-        let dense_bytes =
-            dense_n.checked_mul(4).ok_or(FormatError::Corrupt("dense block size overflows"))?;
-        need(buf, dense_bytes, "dense block")?;
-        let mut dense = Vec::with_capacity(dense_n);
-        for _ in 0..dense_n {
-            dense.push(buf.get_f32_le());
-        }
-        need(buf, len * 4, "labels")?;
-        let mut labels = Vec::with_capacity(len);
-        for _ in 0..len {
-            labels.push(buf.get_f32_le());
-        }
-        let mut sparse = Vec::with_capacity(self.num_tables as usize);
-        for _ in 0..self.num_tables {
-            need(buf, 4, "csr nnz")?;
-            let nnz = buf.get_u32_le() as usize;
-            let csr_bytes = nnz
-                .checked_mul(4)
-                .and_then(|b| (len + 1).checked_mul(4).and_then(|c| b.checked_add(c)))
-                .ok_or(FormatError::Corrupt("csr body size overflows"))?;
-            need(buf, csr_bytes, "csr body")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(buf.get_u32_le());
-            }
-            let mut offsets = Vec::with_capacity(len + 1);
-            for _ in 0..=len {
-                offsets.push(buf.get_u32_le() as usize);
-            }
-            if offsets[0] != 0 || offsets[len] != nnz || offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(FormatError::Corrupt("csr offsets not monotonic"));
-            }
-            sparse.push(TableIndices { indices, offsets });
-        }
-        Ok(Some(MiniBatch { kind, dense, dense_width: self.dense_width as usize, sparse, labels }))
+        let batch = self.r.batch(self.dense_width as usize, self.num_tables as usize)?;
+        Ok(Some(batch))
     }
 }
 
 impl Iterator for FaeStreamReader<'_> {
-    type Item = Result<MiniBatch, FormatError>;
+    type Item = Result<MiniBatch, CodecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_batch().transpose()
@@ -321,6 +175,7 @@ impl Iterator for FaeStreamReader<'_> {
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
+    use crate::dataset::TableIndices;
 
     pub(crate) fn sample_batch(kind: BatchKind, len: usize) -> MiniBatch {
         let mut csr1 = TableIndices::new();
@@ -375,14 +230,14 @@ mod tests {
     fn rejects_bad_magic() {
         let mut bytes = FaeFile::new("x", vec![]).encode().to_vec();
         bytes[0] = b'X';
-        assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::BadMagic)));
+        assert!(matches!(FaeFile::decode(&bytes), Err(CodecError::BadMagic)));
     }
 
     #[test]
     fn rejects_bad_version() {
         let mut bytes = FaeFile::new("x", vec![]).encode().to_vec();
         bytes[4] = 99;
-        assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::BadVersion(99))));
+        assert!(matches!(FaeFile::decode(&bytes), Err(CodecError::BadVersion(99))));
     }
 
     #[test]
@@ -398,7 +253,7 @@ mod tests {
     fn rejects_trailing_garbage() {
         let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Cold, 1)]).encode().to_vec();
         bytes.push(0);
-        assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::Corrupt(_))));
+        assert!(matches!(FaeFile::decode(&bytes), Err(CodecError::Corrupt(_))));
     }
 
     #[test]
@@ -429,13 +284,14 @@ mod tests {
     }
 
     #[test]
-    fn overflowing_declared_sizes_are_corrupt_not_a_panic() {
+    fn overflowing_declared_sizes_are_refused_not_a_panic() {
         let mut bytes = FaeFile::new("t", vec![sample_batch(BatchKind::Hot, 1)]).encode().to_vec();
         // dense_width = u32::MAX and batch len = u32::MAX: the dense block
-        // byte count overflows usize — the checked math must catch it.
+        // byte count overflows usize, so the count check must refuse it
+        // before any size is multiplied out.
         bytes[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
         bytes[26..30].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::Corrupt(_))));
+        assert!(matches!(FaeFile::decode(&bytes), Err(CodecError::Truncated { .. })));
     }
 
     #[test]
@@ -444,7 +300,7 @@ mod tests {
         // First CSR's nnz follows the batch header (1+4), one dense row
         // (3×4) and one label (4): offset 25 + 5 + 12 + 4 = 46.
         bytes[46..50].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(FaeFile::decode(&bytes), Err(FormatError::Truncated(_))));
+        assert!(matches!(FaeFile::decode(&bytes), Err(CodecError::Truncated { .. })));
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! * [`Dataset`] / [`TableIndices`] / [`MiniBatch`] — CSR-style storage,
 //! * [`mod@format`] — the *FAE format*: a binary container for the
 //!   preprocessed hot/cold mini-batch stream, written once per dataset and
-//!   reloaded on subsequent training runs (§III-B).
+//!   reloaded on subsequent training runs (§III-B),
+//! * [`codec`] — the checked little-endian byte codec every binary
+//!   container (the FAE format, checkpoints, wire frames) is built on.
 
 #![forbid(unsafe_code)]
+pub mod codec;
 pub mod dataset;
 pub mod format;
 pub mod gen;

@@ -9,6 +9,9 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::{Dataset, TableIndices};
 
 /// Whether a mini-batch is all-hot, all-cold, or unclassified (baseline).
+///
+/// The declaration order is each kind's tag in the `.fae` stream and in
+/// wire frames ([`crate::codec`]), so the variants must not be reordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchKind {
     /// Every lookup of every sample hits a hot embedding row: eligible for

@@ -10,8 +10,10 @@
 //!
 //! Everything rides one compact length-prefixed binary framing
 //! ([`wire`]): magic, version, message kind, node id, membership epoch,
-//! sequence number, step, payload, CRC-32 trailer (the same checksum the
-//! checkpoint container uses). Failure handling is layered:
+//! sequence number, step, payload, CRC-32 trailer. The frames are
+//! written and read with [`fae_data::codec`], the same checked codec
+//! (and CRC-32) as the `.fae` stream and the checkpoints. Failure
+//! handling is layered:
 //!
 //! * every socket read/write carries a deadline ([`deadline`] is the one
 //!   blessed module that touches blocking I/O);

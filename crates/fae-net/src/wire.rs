@@ -7,45 +7,45 @@
 //! u32 len        bytes after this prefix (body + crc)
 //! [ body ]
 //!   magic  [u8; 4]   "FAEN"
-//!   version u16      protocol version (1)
+//!   version u16      protocol version (2)
 //!   kind    u8       message kind tag
 //!   node    u32      worker node id (sender or addressee)
 //!   epoch   u32      membership generation the frame belongs to
 //!   seq     u64      per-coordinator monotone sequence number
 //!   step    u64      training step the frame is about
 //!   payload ...      kind-specific, see [`Message`]
-//! u32 crc        CRC-32 over the body (same polynomial/table as the
-//!                checkpoint container, `fae_core::checkpoint::crc32`)
+//! u32 crc        CRC-32 over the body (`fae_data::codec::crc32`)
 //! ```
 //!
-//! Replies echo the request's `seq`, `epoch` and `step`, which is what
-//! lets the coordinator discard stale or duplicated replies and lets the
-//! worker-side [`crate::Ledger`] drop replayed state mutations. Every
-//! numeric field — including each `f32` — round-trips bit-exactly, a
-//! precondition for the distributed run matching the single-process model
-//! digest.
+//! Fields are written and read with [`fae_data::codec`], the codec the
+//! `.fae` stream and checkpoints use; a `Task` carries its shard as the
+//! `.fae` stream's mini-batch record. Replies echo the request's `seq`,
+//! `epoch` and `step`, which is what lets the coordinator discard stale
+//! or duplicated replies and lets the worker-side [`crate::Ledger`] drop
+//! replayed state mutations. Every numeric field — including each `f32`
+//! — round-trips bit-exactly, a precondition for the distributed run
+//! matching the single-process model digest.
 //!
 //! Decoding is fully bounds-checked and never panics: torn, truncated or
-//! bit-flipped frames surface as [`NetError::Corrupt`].
+//! bit-flipped frames, and CRC-valid frames whose fields are malformed,
+//! surface as [`NetError::Corrupt`] without allocating more than the
+//! frame backs.
 
-use fae_core::checkpoint::crc32;
-use fae_data::{BatchKind, MiniBatch, TableIndices};
+use fae_data::codec::{unseal, CodecError, Reader, Writer};
+use fae_data::MiniBatch;
 use fae_embed::SparseGrad;
 use fae_telemetry::StepMode;
 
 /// Frame magic: distinguishes protocol traffic from stray connections.
 pub const MAGIC: [u8; 4] = *b"FAEN";
 
-/// Protocol version.
-pub const VERSION: u16 = 1;
+/// Protocol version. Version 2 ships a `Task` shard as the `.fae`
+/// stream's mini-batch record.
+pub const VERSION: u16 = 2;
 
 /// Hard cap on a frame body — a length prefix beyond this is corruption,
 /// not a giant message, and is rejected before any allocation.
 pub const MAX_FRAME: usize = 256 << 20;
-
-/// Fixed header bytes before the payload (magic + version + kind + node
-/// + epoch + seq + step).
-const HEADER: usize = 4 + 2 + 1 + 4 + 4 + 8 + 8;
 
 /// Transport and protocol failures.
 #[derive(Debug)]
@@ -82,6 +82,12 @@ impl std::error::Error for NetError {
             NetError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<CodecError> for NetError {
+    fn from(e: CodecError) -> Self {
+        NetError::Corrupt(e.to_string())
     }
 }
 
@@ -259,56 +265,38 @@ pub struct Frame {
 impl Frame {
     /// Encodes the frame ready to send: length prefix, body, CRC.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(HEADER + 64);
-        body.extend_from_slice(&MAGIC);
-        put_u16(&mut body, VERSION);
-        body.push(self.msg.tag());
-        put_u32(&mut body, self.node);
-        put_u32(&mut body, self.epoch);
-        put_u64(&mut body, self.seq);
-        put_u64(&mut body, self.step);
-        encode_payload(&self.msg, &mut body);
-        let crc = crc32(&body);
-        let mut out = Vec::with_capacity(4 + body.len() + 4);
-        put_u32(&mut out, (body.len() + 4) as u32);
+        let mut w = Writer::default();
+        w.bytes(&MAGIC);
+        w.u16(VERSION);
+        w.u8(self.msg.tag());
+        w.u32(self.node);
+        w.u32(self.epoch);
+        w.u64(self.seq);
+        w.u64(self.step);
+        encode_payload(&self.msg, &mut w);
+        let body = w.seal();
+        let mut out = Vec::with_capacity(4 + body.len());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&body);
-        put_u32(&mut out, crc);
         out
     }
 
     /// Decodes a frame from `bytes` — everything after the length
     /// prefix, CRC trailer included.
     pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
-        if bytes.len() < HEADER + 4 {
-            return Err(NetError::Corrupt(format!("frame too short: {} bytes", bytes.len())));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let want = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        let got = crc32(body);
-        if want != got {
-            return Err(NetError::Corrupt(format!("crc mismatch: {want:#010x} != {got:#010x}")));
-        }
-        let mut rd = Rd { buf: body, pos: 0 };
-        let magic = rd.take(4)?;
-        if magic != MAGIC {
-            return Err(NetError::Corrupt("bad magic".into()));
-        }
-        let version = rd.u16()?;
+        let mut r = Reader::new(unseal(bytes)?);
+        r.magic(&MAGIC)?;
+        let version = r.u16()?;
         if version != VERSION {
-            return Err(NetError::Corrupt(format!("unsupported version {version}")));
+            return Err(CodecError::BadVersion(version.into()).into());
         }
-        let kind = rd.u8()?;
-        let node = rd.u32()?;
-        let epoch = rd.u32()?;
-        let seq = rd.u64()?;
-        let step = rd.u64()?;
-        let msg = decode_payload(kind, &mut rd)?;
-        if rd.pos != rd.buf.len() {
-            return Err(NetError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                rd.buf.len() - rd.pos
-            )));
-        }
+        let kind = r.u8()?;
+        let node = r.u32()?;
+        let epoch = r.u32()?;
+        let seq = r.u64()?;
+        let step = r.u64()?;
+        let msg = decode_payload(kind, &mut r)?;
+        r.finish()?;
         Ok(Frame { node, epoch, seq, step, msg })
     }
 }
@@ -320,355 +308,146 @@ fn step_mode_tag(mode: StepMode) -> u8 {
     }
 }
 
-fn step_mode_from(tag: u8) -> Result<StepMode, NetError> {
+fn step_mode_from(tag: u8) -> Result<StepMode, CodecError> {
     match tag {
         0 => Ok(StepMode::Cold),
         1 => Ok(StepMode::Hot),
-        other => Err(NetError::Corrupt(format!("bad step mode tag {other}"))),
+        _ => Err(CodecError::Corrupt("bad step mode tag")),
     }
 }
 
-fn batch_kind_tag(kind: BatchKind) -> u8 {
-    match kind {
-        BatchKind::Cold => 0,
-        BatchKind::Hot => 1,
-        BatchKind::Unclassified => 2,
-    }
-}
-
-fn batch_kind_from(tag: u8) -> Result<BatchKind, NetError> {
-    match tag {
-        0 => Ok(BatchKind::Cold),
-        1 => Ok(BatchKind::Hot),
-        2 => Ok(BatchKind::Unclassified),
-        other => Err(NetError::Corrupt(format!("bad batch kind tag {other}"))),
-    }
-}
-
-fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
+fn encode_payload(msg: &Message, w: &mut Writer) {
     match msg {
         Message::Hello
         | Message::Ack
         | Message::Heartbeat
         | Message::HeartbeatAck
         | Message::Shutdown => {}
-        Message::TelemetryPoll { ack } => {
-            put_u64(out, *ack);
-        }
+        Message::TelemetryPoll { ack } => w.u64(*ack),
         Message::Telemetry { from, events_jsonl } => {
-            put_u64(out, *from);
-            put_str(out, events_jsonl);
+            w.u64(*from);
+            w.str(events_jsonl);
         }
         Message::Welcome { workers, seed, spec_json, partitions_json, dense, hot } => {
-            put_u32(out, *workers);
-            put_u64(out, *seed);
-            put_str(out, spec_json);
-            put_str(out, partitions_json);
-            put_f32s(out, dense);
-            put_entries(out, hot);
+            w.u32(*workers);
+            w.u64(*seed);
+            w.str(spec_json);
+            w.str(partitions_json);
+            w.f32_vec(dense);
+            write_entries(w, hot);
         }
         Message::Task { total, mode, shard } => {
-            put_u32(out, *total);
-            out.push(step_mode_tag(*mode));
-            put_batch(out, shard);
+            w.u32(*total);
+            w.u8(step_mode_tag(*mode));
+            w.u32(shard.dense_width as u32);
+            w.u32(shard.sparse.len() as u32);
+            w.batch(shard);
         }
         Message::Grads { loss, samples, dense, sparse } => {
-            put_f32(out, *loss);
-            put_u32(out, *samples);
-            put_f32s(out, dense);
-            put_sparse(out, sparse);
+            w.f32(*loss);
+            w.u32(*samples);
+            w.f32_vec(dense);
+            write_sparse(w, sparse);
         }
         Message::Apply { mode, lr, dense, sparse } => {
-            out.push(step_mode_tag(*mode));
-            put_f32(out, *lr);
-            put_f32s(out, dense);
-            put_sparse(out, sparse);
+            w.u8(step_mode_tag(*mode));
+            w.f32(*lr);
+            w.f32_vec(dense);
+            write_sparse(w, sparse);
         }
         Message::HotBagSync { partitions_json, hot } => {
-            put_str(out, partitions_json);
-            put_entries(out, hot);
+            w.str(partitions_json);
+            write_entries(w, hot);
         }
     }
 }
 
-fn decode_payload(kind: u8, rd: &mut Rd<'_>) -> Result<Message, NetError> {
+fn decode_payload(kind: u8, r: &mut Reader<'_>) -> Result<Message, NetError> {
     Ok(match kind {
         0 => Message::Hello,
         1 => Message::Welcome {
-            workers: rd.u32()?,
-            seed: rd.u64()?,
-            spec_json: rd.str_()?,
-            partitions_json: rd.str_()?,
-            dense: rd.f32s()?,
-            hot: rd.entries()?,
+            workers: r.u32()?,
+            seed: r.u64()?,
+            spec_json: r.str()?,
+            partitions_json: r.str()?,
+            dense: r.f32_vec()?,
+            hot: read_entries(r)?,
         },
         2 => {
-            Message::Task { total: rd.u32()?, mode: step_mode_from(rd.u8()?)?, shard: rd.batch()? }
+            let (total, mode) = (r.u32()?, step_mode_from(r.u8()?)?);
+            let (dense_width, tables) = (r.u32()? as usize, r.u32()? as usize);
+            Message::Task { total, mode, shard: r.batch(dense_width, tables)? }
         }
         3 => Message::Grads {
-            loss: rd.f32()?,
-            samples: rd.u32()?,
-            dense: rd.f32s()?,
-            sparse: rd.sparse()?,
+            loss: r.f32()?,
+            samples: r.u32()?,
+            dense: r.f32_vec()?,
+            sparse: read_sparse(r)?,
         },
         4 => Message::Apply {
-            mode: step_mode_from(rd.u8()?)?,
-            lr: rd.f32()?,
-            dense: rd.f32s()?,
-            sparse: rd.sparse()?,
+            mode: step_mode_from(r.u8()?)?,
+            lr: r.f32()?,
+            dense: r.f32_vec()?,
+            sparse: read_sparse(r)?,
         },
         5 => Message::Ack,
-        6 => Message::HotBagSync { partitions_json: rd.str_()?, hot: rd.entries()? },
+        6 => Message::HotBagSync { partitions_json: r.str()?, hot: read_entries(r)? },
         7 => Message::Heartbeat,
         8 => Message::HeartbeatAck,
         9 => Message::Shutdown,
-        10 => Message::TelemetryPoll { ack: rd.u64()? },
-        11 => Message::Telemetry { from: rd.u64()?, events_jsonl: rd.str_()? },
+        10 => Message::TelemetryPoll { ack: r.u64()? },
+        11 => Message::Telemetry { from: r.u64()?, events_jsonl: r.str()? },
         other => return Err(NetError::Corrupt(format!("unknown message kind {other}"))),
     })
 }
 
-// ---- encoders --------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        put_f32(out, x);
-    }
-}
-
-fn put_entries(out: &mut Vec<u8>, entries: &[HotEntry]) {
-    put_u32(out, entries.len() as u32);
+fn write_entries(w: &mut Writer, entries: &[HotEntry]) {
+    w.count(entries.len());
     for e in entries {
-        put_u32(out, e.table);
-        put_u32(out, e.row);
-        put_f32s(out, &e.values);
+        w.u32(e.table);
+        w.u32(e.row);
+        w.f32_vec(&e.values);
     }
 }
 
-fn put_sparse(out: &mut Vec<u8>, grads: &[SparseGrad]) {
-    put_u32(out, grads.len() as u32);
+fn read_entries(r: &mut Reader<'_>) -> Result<Vec<HotEntry>, CodecError> {
+    r.list(|r| Ok(HotEntry { table: r.u32()?, row: r.u32()?, values: r.f32_vec()? }))
+}
+
+/// Per table: `dim`, the row count, then each row's id and `dim` values.
+fn write_sparse(w: &mut Writer, grads: &[SparseGrad]) {
+    w.count(grads.len());
     for g in grads {
-        put_u32(out, g.dim() as u32);
-        put_u32(out, g.nnz_rows() as u32);
+        w.u32(g.dim() as u32);
+        w.count(g.nnz_rows());
         for (row, values) in g.iter() {
-            put_u32(out, row);
-            for &x in values {
-                put_f32(out, x);
-            }
+            w.u32(row);
+            w.f32s(values);
         }
     }
 }
 
-fn put_batch(out: &mut Vec<u8>, b: &MiniBatch) {
-    out.push(batch_kind_tag(b.kind));
-    put_u32(out, b.dense_width as u32);
-    put_f32s(out, &b.labels);
-    put_f32s(out, &b.dense);
-    put_u32(out, b.sparse.len() as u32);
-    for t in &b.sparse {
-        put_u32(out, t.indices.len() as u32);
-        for &i in &t.indices {
-            put_u32(out, i);
+fn read_sparse(r: &mut Reader<'_>) -> Result<Vec<SparseGrad>, CodecError> {
+    r.list(|r| {
+        let dim = r.u32()? as usize;
+        if dim.saturating_add(1).saturating_mul(4) > MAX_FRAME {
+            // No frame could carry one row this wide.
+            return Err(CodecError::Corrupt("gradient dim over frame cap"));
         }
-        put_u32(out, t.offsets.len() as u32);
-        for &o in &t.offsets {
-            put_u64(out, o as u64);
+        let rows = r.count(dim.saturating_add(1).saturating_mul(4))?;
+        let mut g = SparseGrad::new(dim);
+        for _ in 0..rows {
+            let row = r.u32()?;
+            g.accumulate(row, &r.f32s(dim)?);
         }
-    }
-}
-
-// ---- bounds-checked reader ------------------------------------------
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.remaining() < n {
-            return Err(NetError::Corrupt(format!(
-                "payload truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, NetError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f32(&mut self) -> Result<f32, NetError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u32` element count and checks the elements (each at
-    /// least `elem_bytes` wide) actually fit in the remaining payload —
-    /// a corrupt count can therefore never trigger a huge allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, NetError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes) > self.remaining() {
-            return Err(NetError::Corrupt(format!(
-                "element count {n} exceeds remaining payload ({} bytes)",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    fn str_(&mut self) -> Result<String, NetError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| NetError::Corrupt("string payload is not utf-8".into()))
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, NetError> {
-        let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
-    }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, NetError> {
-        let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
-    fn usizes(&mut self) -> Result<Vec<usize>, NetError> {
-        let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()? as usize);
-        }
-        Ok(out)
-    }
-
-    fn entries(&mut self) -> Result<Vec<HotEntry>, NetError> {
-        let n = self.count(12)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let table = self.u32()?;
-            let row = self.u32()?;
-            let values = self.f32s()?;
-            out.push(HotEntry { table, row, values });
-        }
-        Ok(out)
-    }
-
-    fn sparse(&mut self) -> Result<Vec<SparseGrad>, NetError> {
-        let tables = self.count(8)?;
-        let mut out = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let dim = self.u32()? as usize;
-            let rows = self.count(4 + dim * 4)?;
-            let mut g = SparseGrad::new(dim);
-            let mut values = vec![0.0f32; dim];
-            for _ in 0..rows {
-                let row = self.u32()?;
-                for v in values.iter_mut() {
-                    *v = self.f32()?;
-                }
-                g.accumulate(row, &values);
-            }
-            out.push(g);
-        }
-        Ok(out)
-    }
-
-    fn batch(&mut self) -> Result<MiniBatch, NetError> {
-        let kind = batch_kind_from(self.u8()?)?;
-        let dense_width = self.u32()? as usize;
-        let labels = self.f32s()?;
-        let dense = self.f32s()?;
-        if dense.len() != labels.len() * dense_width {
-            return Err(NetError::Corrupt(format!(
-                "dense block is {} floats, want {} samples x {} features",
-                dense.len(),
-                labels.len(),
-                dense_width
-            )));
-        }
-        let tables = self.count(8)?;
-        let mut sparse = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let indices = self.u32s()?;
-            let offsets = self.usizes()?;
-            if offsets.len() != labels.len() + 1 {
-                return Err(NetError::Corrupt(format!(
-                    "csr has {} offsets for {} samples",
-                    offsets.len(),
-                    labels.len()
-                )));
-            }
-            let mut prev = 0usize;
-            for &o in &offsets {
-                if o < prev || o > indices.len() {
-                    return Err(NetError::Corrupt("csr offsets not monotone in-range".into()));
-                }
-                prev = o;
-            }
-            sparse.push(TableIndices { indices, offsets });
-        }
-        Ok(MiniBatch { kind, dense, dense_width, sparse, labels })
-    }
+        Ok(g)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fae_data::{generate, GenOptions, WorkloadSpec};
+    use fae_data::{generate, BatchKind, GenOptions, WorkloadSpec};
 
     fn sample_batch() -> MiniBatch {
         let spec = WorkloadSpec::tiny_test();
@@ -821,26 +600,36 @@ mod tests {
         for keep in 4..bytes.len() - 1 {
             assert!(Frame::decode(&bytes[4..keep]).is_err(), "truncation to {keep} accepted");
         }
+        // Past the CRC: change a body byte, re-seal, decode. The field
+        // decoders see the malformed frame and must not panic.
+        let body = &bytes[4..bytes.len() - 4];
+        for at in 0..body.len() {
+            for value in [0x00, 0x01, 0x7F, 0xFF] {
+                let mut bad = body.to_vec();
+                bad[at] = value;
+                let mut w = Writer::default();
+                w.bytes(&bad);
+                let _ = Frame::decode(&w.seal());
+            }
+        }
     }
 
     #[test]
     fn oversized_counts_do_not_allocate() {
         // A hand-built Grads frame claiming u32::MAX dense floats.
-        let mut body = Vec::new();
-        body.extend_from_slice(&MAGIC);
-        put_u16(&mut body, VERSION);
-        body.push(3); // Grads
-        put_u32(&mut body, 0);
-        put_u32(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_f32(&mut body, 0.0);
-        put_u32(&mut body, 1);
-        put_u32(&mut body, u32::MAX); // dense count: absurd
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        match Frame::decode(&body) {
-            Err(NetError::Corrupt(m)) => assert!(m.contains("exceeds remaining")),
+        let mut w = Writer::default();
+        w.bytes(&MAGIC);
+        w.u16(VERSION);
+        w.u8(3); // Grads
+        w.u32(0);
+        w.u32(0);
+        w.u64(0);
+        w.u64(0);
+        w.f32(0.0);
+        w.u32(1);
+        w.u32(u32::MAX); // dense count: absurd
+        match Frame::decode(&w.seal()) {
+            Err(NetError::Corrupt(m)) => assert!(m.contains("truncated"), "{m}"),
             other => panic!("expected corrupt error, got {other:?}"),
         }
     }

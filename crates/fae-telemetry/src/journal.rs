@@ -773,41 +773,12 @@ impl JournalWriter {
     }
 }
 
-/// Parses a journal text (JSONL). Blank lines are skipped; a torn final
-/// line (crash mid-write) is tolerated and dropped, but a malformed line
-/// anywhere else is an error.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalEvent>, String> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut events = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value: Value = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(e) if i + 1 == lines.len() => {
-                eprintln!("journal: dropping torn final line: {e}");
-                break;
-            }
-            Err(e) => return Err(format!("journal line {}: {e}", i + 1)),
-        };
-        events.push(
-            JournalEvent::from_json(&value).map_err(|e| format!("journal line {}: {e}", i + 1))?,
-        );
-    }
-    Ok(events)
-}
-
-/// Reads and parses a journal file.
-pub fn read_journal(path: &Path) -> Result<Vec<JournalEvent>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    parse_journal(&text)
-}
-
-/// Parses a journal text keeping origin tags. Same torn-final-line
-/// tolerance as [`parse_journal`]; legacy untagged lines come back as
-/// node 0 with `seq` equal to their position in the file, so pre-plane
-/// journals merge like a single-node stream.
+/// Parses a journal text (JSONL) keeping origin tags. Blank lines are
+/// skipped; a torn final line (crash mid-write) is tolerated and
+/// dropped, but a malformed line anywhere else is an error. Legacy
+/// untagged lines come back as node 0 with `seq` equal to their
+/// position in the file, so pre-plane journals merge like a single-node
+/// stream.
 pub fn parse_tagged_journal(text: &str) -> Result<Vec<TaggedEvent>, String> {
     let lines: Vec<&str> = text.lines().collect();
     let mut events = Vec::with_capacity(lines.len());
@@ -974,7 +945,8 @@ mod tests {
             w.write(e).unwrap();
         }
         assert_eq!(w.lines(), events.len() as u64);
-        let back = read_journal(&path).unwrap();
+        let back: Vec<_> =
+            read_tagged_journal(&path).unwrap().into_iter().map(|t| t.event).collect();
         std::fs::remove_file(&path).ok();
         assert_eq!(back, events);
     }
@@ -988,14 +960,14 @@ mod tests {
             text.push('\n');
         }
         text.push_str("{\"type\":\"step\",\"ste"); // torn mid-write
-        let back = parse_journal(&text).expect("torn tail tolerated");
-        assert_eq!(back, events);
+        let back = parse_tagged_journal(&text).expect("torn tail tolerated");
+        assert_eq!(back.into_iter().map(|t| t.event).collect::<Vec<_>>(), events);
     }
 
     #[test]
     fn malformed_interior_line_is_an_error() {
         let text = "not json\n{\"type\":\"fault\",\"step\":1,\"kind\":\"device-loss\"}\n";
-        assert!(parse_journal(text).is_err());
+        assert!(parse_tagged_journal(text).is_err());
     }
 
     #[test]

@@ -37,8 +37,8 @@ use std::sync::{Arc, Mutex};
 
 pub use alerts::{steps_floor_from_baseline, AlertEngine, AlertRule};
 pub use journal::{
-    parse_journal, parse_tagged_journal, read_journal, read_tagged_journal, JournalEvent,
-    JournalWriter, PhaseSeconds, StepMode, TaggedEvent,
+    parse_tagged_journal, read_tagged_journal, JournalEvent, JournalWriter, PhaseSeconds, StepMode,
+    TaggedEvent,
 };
 pub use merge::{check_invariant, merge_tagged, MergeStats, MergedInvariant, ShipLedger};
 pub use metrics::{Histogram, MetricsRegistry, SpanStat};
@@ -466,7 +466,8 @@ mod tests {
             action: "shrank-replicas".into(),
             detail: "2 -> 1".into(),
         });
-        let events = read_journal(&path).unwrap();
+        let events: Vec<_> =
+            read_tagged_journal(&path).unwrap().into_iter().map(|t| t.event).collect();
         std::fs::remove_file(&path).ok();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], JournalEvent::Fault { step: 1, kind: "device-loss".into() });

@@ -6,15 +6,65 @@
 //! a fixed `.fae` stream and a fixed training checkpoint, and the model
 //! digest of that checkpoint's parameters. Each test also decodes the
 //! pinned bytes back to the value they came from.
+//!
+//! The crafted-input tests feed each decoder a tiny input that declares
+//! far more content than it holds, and bound the largest allocation the
+//! decode makes while refusing it.
 
-use fae::core::checkpoint::crc32;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use fae::core::{
     model_digest, EvalPoint, FaultKind, InjectedFault, RecoveryAction, SchedulerState,
     TableSnapshot, TrainCheckpoint,
 };
-use fae::data::format::FaeFile;
+use fae::data::codec::{crc32, Writer};
+use fae::data::format::{FaeFile, FaeStreamReader};
 use fae::data::{BatchKind, MiniBatch, TableIndices};
+use fae::net::wire::{self, Frame};
 use fae::sysmodel::{Phase, Timeline};
+
+/// The system allocator, recording the largest single request each
+/// thread makes.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    let _ = PEAK.try_with(|p| p.set(p.get().max(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's guarantees carry over; recording a size only touches a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// this thread made meanwhile.
+fn peak_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    let out = f();
+    (out, PEAK.with(Cell::get))
+}
 
 /// A batch of `len` samples over two tables (one- and two-id bags) with
 /// two non-zero dense features per sample.
@@ -135,4 +185,45 @@ fn checkpoint_bytes_are_pinned() {
 fn model_digest_is_pinned() {
     let ck = checkpoint();
     assert_eq!(model_digest(&ck.dense_params, &ck.tables), 0xCA3E87EC);
+}
+
+/// 30 bytes: `FAE1`, version 1, the one-byte workload name `x`, dense
+/// width 0, `u32::MAX` tables, one batch: a hot batch of 0 samples.
+/// Reserving the declared tables alone would take 206 GB.
+const CRAFTED_STREAM: &[u8] =
+    b"FAE1\x01\x00\x00\x00\x01\x00\x00\x00x\x00\x00\x00\x00\xff\xff\xff\xff\x01\x00\x00\x00\x00\x00\x00\x00\x00";
+
+#[test]
+fn a_stream_declaring_more_tables_than_it_holds_is_an_error() {
+    assert_eq!(CRAFTED_STREAM.len(), 30);
+    let (decoded, peak) = peak_allocation(|| FaeFile::decode(CRAFTED_STREAM));
+    assert!(decoded.is_err());
+    assert!(peak <= CRAFTED_STREAM.len(), "decode allocated {peak} bytes");
+    let streamed = FaeStreamReader::open(CRAFTED_STREAM).and_then(|mut r| r.next_batch());
+    assert!(streamed.is_err());
+}
+
+#[test]
+fn a_grads_frame_with_an_absurd_dim_is_an_error() {
+    // A CRC-valid Grads frame: loss, samples, no dense gradient, and one
+    // sparse table of dim u32::MAX with no rows. A value buffer sized by
+    // that dim would take 17 GB.
+    let mut w = Writer::default();
+    w.bytes(&wire::MAGIC);
+    w.u16(wire::VERSION);
+    w.u8(3); // Grads
+    w.u32(0); // node
+    w.u32(0); // epoch
+    w.u64(0); // seq
+    w.u64(0); // step
+    w.f32(0.5);
+    w.u32(1);
+    w.count(0);
+    w.count(1);
+    w.u32(u32::MAX);
+    w.count(0);
+    let frame = w.seal();
+    let (decoded, peak) = peak_allocation(|| Frame::decode(&frame));
+    assert!(decoded.is_err());
+    assert!(peak <= frame.len(), "decode allocated {peak} bytes");
 }

@@ -11,12 +11,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fae::core::checkpoint::crc32;
 use fae::core::input_processor::{PreprocessConfig, Preprocessed};
 use fae::core::{
     pipeline, train_baseline, train_fae_resilient, CalibratorConfig, FaultPlan, ResilienceOptions,
     Telemetry, TrainConfig, TrainReport,
 };
+use fae::data::codec::crc32;
 use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
 
 /// What one run is pinned to: `(model_digest, simulated_seconds bits,

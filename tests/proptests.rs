@@ -264,6 +264,7 @@ proptest! {
         flips in prop::collection::vec((0usize..4096, 1u8..=255), 1..6),
         cut in 0usize..4096,
         truncate in 0u8..2,
+        resealed in (0usize..4096, 0u8..=255),
     ) {
         use fae::core::TrainCheckpoint;
         let good = sample_checkpoint().encode();
@@ -283,6 +284,16 @@ proptest! {
         }
         // The pristine bytes still decode.
         prop_assert!(TrainCheckpoint::decode(&good).is_ok());
+        // Past the CRC: set one payload byte, recompute the trailer and
+        // decode. The field decoders see a malformed record and must
+        // return (Ok or Err) without panicking.
+        let (at, value) = resealed;
+        let mut payload = good[..good.len() - 4].to_vec();
+        let at = at % payload.len();
+        payload[at] = value;
+        let mut w = fae::data::codec::Writer::default();
+        w.bytes(&payload);
+        let _ = TrainCheckpoint::decode(&w.seal());
     }
 }
 

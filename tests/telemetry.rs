@@ -4,7 +4,7 @@
 //! trace export.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fae::core::input_processor::{PreprocessConfig, Preprocessed};
 use fae::core::{
@@ -12,7 +12,12 @@ use fae::core::{
     TrainConfig,
 };
 use fae::data::{generate, Dataset, GenOptions, WorkloadSpec};
-use fae::telemetry::{chrome_trace, read_journal, summarize, JournalEvent};
+use fae::telemetry::{chrome_trace, read_tagged_journal, summarize, JournalEvent};
+
+/// The journal's events, origin tags dropped.
+fn read_events(journal: &Path) -> Vec<JournalEvent> {
+    read_tagged_journal(journal).expect("journal parses").into_iter().map(|t| t.event).collect()
+}
 
 /// Shrunken budget so the tiny workload actually splits hot/cold.
 fn forced_partial_calibrator() -> CalibratorConfig {
@@ -77,7 +82,7 @@ fn journal_phase_seconds_sum_to_simulated_seconds() {
 
     // In-memory stream and on-disk journal agree.
     let retained = telem.events();
-    let from_disk = read_journal(&journal).expect("journal parses");
+    let from_disk = read_events(&journal);
     assert_eq!(retained, from_disk);
 
     // The headline invariant: journalled per-phase seconds account for
@@ -162,7 +167,7 @@ fn report_summary_matches_run() {
     let opts = ResilienceOptions { telemetry: telem, ..Default::default() };
     let report = train_fae_resilient(&spec, &pre, &test, &cfg, &opts);
 
-    let events = read_journal(&journal).expect("journal parses");
+    let events = read_events(&journal);
     let summary = summarize(&events);
     assert_eq!(
         summary.hot_steps + summary.cold_steps,
